@@ -8,7 +8,7 @@ namespace hard
 
 HybridDetector::HybridDetector(const std::string &name,
                                const HardConfig &cfg)
-    : RaceDetector(name),
+    : ClockedDetector(name),
       cfg_(cfg),
       meta_(cfg.metaGeometry, cfg.unbounded)
 {
@@ -21,15 +21,12 @@ HybridDetector::HybridDetector(const std::string &name,
     hard_fatal_if(line / cfg_.granularityBytes > 8,
                   "hybrid: more than 8 granules per line unsupported");
     lockRegs_.fill(LockRegister(cfg_.bloomBits, cfg_.counterBits));
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        nonLockVc_[t][t] = 1;
 }
 
 void
 HybridDetector::access(const MemEvent &ev, bool write)
 {
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
+    const VClock &vc = clock(ev.tid);
     bool fresh = false;
     Line &line = meta_.lookup(ev.addr, fresh);
 
@@ -38,7 +35,6 @@ HybridDetector::access(const MemEvent &ev, bool write)
     const Addr lo = alignDown(ev.addr, gran);
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
     const std::uint32_t lockset = lockRegs_[ev.tid].vector().raw();
-    const VClock &vc = nonLockVc_[ev.tid];
 
     for (Addr a = lo; a < hi; a += gran) {
         Granule &g = line.g[(a - line_base) / gran];
@@ -89,23 +85,20 @@ HybridDetector::onWrite(const MemEvent &ev)
 void
 HybridDetector::onLockAcquire(const SyncEvent &ev)
 {
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
+    SyncOrder::checkThread(ev.tid);
     lockRegs_[ev.tid].acquire(ev.lock);
 }
 
 void
 HybridDetector::onLockRelease(const SyncEvent &ev)
 {
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
+    SyncOrder::checkThread(ev.tid);
     lockRegs_[ev.tid].release(ev.lock);
 }
 
 void
 HybridDetector::onBarrier(const BarrierEvent &ev)
 {
-    (void)ev;
     if (cfg_.barrierReset) {
         meta_.forEach([](Addr, Line &line) {
             for (Granule &g : line.g) {
@@ -117,79 +110,7 @@ HybridDetector::onBarrier(const BarrierEvent &ev)
     }
     // Barrier = non-lock synchronization: join and advance the
     // non-lock vector clocks.
-    VClock all;
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        all.join(nonLockVc_[t]);
-    for (unsigned t = 0; t < kMaxThreads; ++t) {
-        nonLockVc_[t] = all;
-        ++nonLockVc_[t][t];
-    }
-}
-
-void
-HybridDetector::onSemaPost(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
-    VClock &svc = semaVc_[ev.lock];
-    svc.join(nonLockVc_[ev.tid]);
-    ++nonLockVc_[ev.tid][ev.tid];
-}
-
-void
-HybridDetector::onSemaWait(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
-    auto it = semaVc_.find(ev.lock);
-    if (it != semaVc_.end())
-        nonLockVc_[ev.tid].join(it->second);
-}
-
-void
-HybridDetector::onCondSignal(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
-    VClock &cvc = condVc_[ev.lock];
-    cvc.join(nonLockVc_[ev.tid]);
-    ++nonLockVc_[ev.tid][ev.tid];
-}
-
-void
-HybridDetector::onCondBroadcast(const SyncEvent &ev)
-{
-    onCondSignal(ev);
-}
-
-void
-HybridDetector::onCondWait(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
-    auto it = condVc_.find(ev.lock);
-    if (it != condVc_.end())
-        nonLockVc_[ev.tid].join(it->second);
-}
-
-void
-HybridDetector::onAtomicStore(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
-    VClock &avc = atomVc_[ev.lock];
-    avc.join(nonLockVc_[ev.tid]);
-    ++nonLockVc_[ev.tid][ev.tid];
-}
-
-void
-HybridDetector::onAtomicLoad(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hybrid: thread id %u too large",
-                  ev.tid);
-    auto it = atomVc_.find(ev.lock);
-    if (it != atomVc_.end())
-        nonLockVc_[ev.tid].join(it->second);
+    ClockedDetector::onBarrier(ev);
 }
 
 } // namespace hard

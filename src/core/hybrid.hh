@@ -22,16 +22,15 @@
 #define HARD_CORE_HYBRID_HH
 
 #include <array>
-#include <unordered_map>
 
 #include "core/hard_detector.hh"
-#include "detectors/vclock.hh"
+#include "detectors/sync_order.hh"
 
 namespace hard
 {
 
 /** Hybrid HARD+happens-before detector (paper §7). */
-class HybridDetector : public RaceDetector
+class HybridDetector : public ClockedDetector
 {
   public:
     /**
@@ -42,11 +41,13 @@ class HybridDetector : public RaceDetector
 
     void onRead(const MemEvent &ev) override;
     void onWrite(const MemEvent &ev) override;
+
+    /** Locks drive the Lock Registers only and never reach the
+     * base's SyncOrder, so its clocks carry non-lock edges alone
+     * (barrier, semaphore, condvar, atomic release/acquire). */
     void onLockAcquire(const SyncEvent &ev) override;
     void onLockRelease(const SyncEvent &ev) override;
     void onBarrier(const BarrierEvent &ev) override;
-    void onSemaPost(const SyncEvent &ev) override;
-    void onSemaWait(const SyncEvent &ev) override;
 
     /** Rwlocks update the Lock Register mode-blind (see HardDetector);
      * their edges stay out of the non-lock clock domain so lock-
@@ -64,14 +65,6 @@ class HybridDetector : public RaceDetector
         (void)writer;
         onLockRelease(ev);
     }
-
-    /** Condvar and atomic release/acquire pairs are hand-crafted
-     * (non-lock) synchronization, pruned exactly like semaphores. */
-    void onCondSignal(const SyncEvent &ev) override;
-    void onCondBroadcast(const SyncEvent &ev) override;
-    void onCondWait(const SyncEvent &ev) override;
-    void onAtomicStore(const SyncEvent &ev) override;
-    void onAtomicLoad(const SyncEvent &ev) override;
 
     /** @return lockset violations suppressed by non-lock ordering. */
     std::uint64_t prunedAlarms() const { return pruned_; }
@@ -105,12 +98,6 @@ class HybridDetector : public RaceDetector
     HardConfig cfg_;
     MetaCache<Line> meta_;
     std::array<LockRegister, kMaxThreads> lockRegs_;
-    /** Vector clocks advanced by non-lock edges only (barrier,
-     * semaphore, condvar, atomic release/acquire). */
-    std::array<VClock, kMaxThreads> nonLockVc_{};
-    std::unordered_map<Addr, VClock> semaVc_;
-    std::unordered_map<Addr, VClock> condVc_;
-    std::unordered_map<Addr, VClock> atomVc_;
     std::uint64_t pruned_ = 0;
 };
 

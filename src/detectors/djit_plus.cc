@@ -8,22 +8,18 @@ namespace hard
 
 DjitPlusDetector::DjitPlusDetector(const std::string &name,
                                    unsigned granularity_bytes)
-    : RaceDetector(name), gran_(granularity_bytes)
+    : ClockedDetector(name), gran_(granularity_bytes)
 {
     hard_fatal_if(gran_ == 0 || !isPowerOf2(gran_),
                   "djit+: bad granularity %u", gran_);
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        threadVc_[t][t] = 1;
 }
 
 void
 DjitPlusDetector::access(const MemEvent &ev, bool write)
 {
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
+    const VClock &vc = clock(ev.tid);
     const Addr lo = alignDown(ev.addr, gran_);
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
-    const VClock &vc = threadVc_[ev.tid];
 
     for (Addr a = lo; a < hi; a += gran_) {
         Shadow &g = shadow_[a];
@@ -75,130 +71,6 @@ void
 DjitPlusDetector::onWrite(const MemEvent &ev)
 {
     access(ev, true);
-}
-
-void
-DjitPlusDetector::onLockAcquire(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    auto it = lockVc_.find(ev.lock);
-    if (it != lockVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-DjitPlusDetector::onLockRelease(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    VClock &lvc = lockVc_[ev.lock];
-    lvc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-DjitPlusDetector::onSemaPost(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    VClock &svc = semaVc_[ev.lock];
-    svc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-DjitPlusDetector::onSemaWait(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    auto it = semaVc_.find(ev.lock);
-    if (it != semaVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-DjitPlusDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    auto it = rwVc_.find(ev.lock);
-    if (it == rwVc_.end())
-        return;
-    // Writers order after every prior holder; readers only after prior
-    // writers, so concurrent readers stay unordered.
-    threadVc_[ev.tid].join(it->second.writeVc);
-    if (writer)
-        threadVc_[ev.tid].join(it->second.readVc);
-}
-
-void
-DjitPlusDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    RwVc &rw = rwVc_[ev.lock];
-    (writer ? rw.writeVc : rw.readVc).join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-DjitPlusDetector::onCondSignal(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    VClock &cvc = condVc_[ev.lock];
-    cvc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-DjitPlusDetector::onCondBroadcast(const SyncEvent &ev)
-{
-    onCondSignal(ev);
-}
-
-void
-DjitPlusDetector::onCondWait(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    auto it = condVc_.find(ev.lock);
-    if (it != condVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-DjitPlusDetector::onAtomicStore(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    VClock &avc = atomVc_[ev.lock];
-    avc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-DjitPlusDetector::onAtomicLoad(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "djit+: thread id %u too large",
-                  ev.tid);
-    auto it = atomVc_.find(ev.lock);
-    if (it != atomVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-DjitPlusDetector::onBarrier(const BarrierEvent &ev)
-{
-    (void)ev;
-    VClock all;
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        all.join(threadVc_[t]);
-    for (unsigned t = 0; t < kMaxThreads; ++t) {
-        threadVc_[t] = all;
-        ++threadVc_[t][t];
-    }
 }
 
 } // namespace hard

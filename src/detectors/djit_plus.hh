@@ -24,17 +24,15 @@
 #ifndef HARD_DETECTORS_DJIT_PLUS_HH
 #define HARD_DETECTORS_DJIT_PLUS_HH
 
-#include <array>
 #include <unordered_map>
 
-#include "detectors/report.hh"
-#include "detectors/vclock.hh"
+#include "detectors/sync_order.hh"
 
 namespace hard
 {
 
 /** Full-vector DJIT+ happens-before detector. */
-class DjitPlusDetector : public RaceDetector
+class DjitPlusDetector : public ClockedDetector
 {
   public:
     /**
@@ -46,18 +44,6 @@ class DjitPlusDetector : public RaceDetector
 
     void onRead(const MemEvent &ev) override;
     void onWrite(const MemEvent &ev) override;
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
-    void onSemaPost(const SyncEvent &ev) override;
-    void onSemaWait(const SyncEvent &ev) override;
-    void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
-    void onRwLockRelease(const SyncEvent &ev, bool writer) override;
-    void onCondSignal(const SyncEvent &ev) override;
-    void onCondBroadcast(const SyncEvent &ev) override;
-    void onCondWait(const SyncEvent &ev) override;
-    void onAtomicStore(const SyncEvent &ev) override;
-    void onAtomicLoad(const SyncEvent &ev) override;
 
     /**
      * @return races whose unordered prior write was *not* the latest
@@ -83,21 +69,8 @@ class DjitPlusDetector : public RaceDetector
 
     void access(const MemEvent &ev, bool write);
 
-    /** Per-rwlock release clocks (see HappensBeforeDetector::RwVc). */
-    struct RwVc
-    {
-        VClock writeVc;
-        VClock readVc;
-    };
-
     unsigned gran_;
     std::unordered_map<Addr, Shadow> shadow_;
-    std::array<VClock, kMaxThreads> threadVc_{};
-    std::unordered_map<LockAddr, VClock> lockVc_;
-    std::unordered_map<Addr, VClock> semaVc_;
-    std::unordered_map<LockAddr, RwVc> rwVc_;
-    std::unordered_map<Addr, VClock> condVc_;
-    std::unordered_map<Addr, VClock> atomVc_;
     std::uint64_t nonLatest_ = 0;
 };
 

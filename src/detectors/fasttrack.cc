@@ -8,22 +8,18 @@ namespace hard
 
 FastTrackDetector::FastTrackDetector(const std::string &name,
                                      unsigned granularity_bytes)
-    : RaceDetector(name), gran_(granularity_bytes)
+    : ClockedDetector(name), gran_(granularity_bytes)
 {
     hard_fatal_if(gran_ == 0 || !isPowerOf2(gran_),
                   "fasttrack: bad granularity %u", gran_);
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        threadVc_[t][t] = 1;
 }
 
 void
 FastTrackDetector::access(const MemEvent &ev, bool write)
 {
-    hard_panic_if(ev.tid >= kMaxThreads, "fasttrack: thread id %u",
-                  ev.tid);
+    const VClock &vc = clock(ev.tid);
     const Addr lo = alignDown(ev.addr, gran_);
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
-    const VClock &vc = threadVc_[ev.tid];
 
     for (Addr a = lo; a < hi; a += gran_) {
         Shadow &s = shadow_[a];
@@ -97,108 +93,6 @@ void
 FastTrackDetector::onWrite(const MemEvent &ev)
 {
     access(ev, true);
-}
-
-void
-FastTrackDetector::onLockAcquire(const SyncEvent &ev)
-{
-    auto it = lockVc_.find(ev.lock);
-    if (it != lockVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-FastTrackDetector::onLockRelease(const SyncEvent &ev)
-{
-    VClock &lvc = lockVc_[ev.lock];
-    lvc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-FastTrackDetector::onBarrier(const BarrierEvent &ev)
-{
-    (void)ev;
-    VClock all;
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        all.join(threadVc_[t]);
-    for (unsigned t = 0; t < kMaxThreads; ++t) {
-        threadVc_[t] = all;
-        ++threadVc_[t][t];
-    }
-}
-
-void
-FastTrackDetector::onSemaPost(const SyncEvent &ev)
-{
-    VClock &svc = semaVc_[ev.lock];
-    svc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-FastTrackDetector::onSemaWait(const SyncEvent &ev)
-{
-    auto it = semaVc_.find(ev.lock);
-    if (it != semaVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-FastTrackDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
-{
-    auto it = rwVc_.find(ev.lock);
-    if (it == rwVc_.end())
-        return;
-    threadVc_[ev.tid].join(it->second.writeVc);
-    if (writer)
-        threadVc_[ev.tid].join(it->second.readVc);
-}
-
-void
-FastTrackDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
-{
-    RwVc &rw = rwVc_[ev.lock];
-    (writer ? rw.writeVc : rw.readVc).join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-FastTrackDetector::onCondSignal(const SyncEvent &ev)
-{
-    VClock &cvc = condVc_[ev.lock];
-    cvc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-FastTrackDetector::onCondBroadcast(const SyncEvent &ev)
-{
-    onCondSignal(ev);
-}
-
-void
-FastTrackDetector::onCondWait(const SyncEvent &ev)
-{
-    auto it = condVc_.find(ev.lock);
-    if (it != condVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-FastTrackDetector::onAtomicStore(const SyncEvent &ev)
-{
-    VClock &avc = atomVc_[ev.lock];
-    avc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-FastTrackDetector::onAtomicLoad(const SyncEvent &ev)
-{
-    auto it = atomVc_.find(ev.lock);
-    if (it != atomVc_.end())
-        threadVc_[ev.tid].join(it->second);
 }
 
 } // namespace hard

@@ -19,18 +19,17 @@
 #ifndef HARD_DETECTORS_FASTTRACK_HH
 #define HARD_DETECTORS_FASTTRACK_HH
 
-#include <array>
+#include <memory>
 #include <unordered_map>
 
 #include "detectors/meta_cache.hh"
-#include "detectors/report.hh"
-#include "detectors/vclock.hh"
+#include "detectors/sync_order.hh"
 
 namespace hard
 {
 
 /** Epoch-optimized happens-before detector (FastTrack-style). */
-class FastTrackDetector : public RaceDetector
+class FastTrackDetector : public ClockedDetector
 {
   public:
     /**
@@ -42,18 +41,6 @@ class FastTrackDetector : public RaceDetector
 
     void onRead(const MemEvent &ev) override;
     void onWrite(const MemEvent &ev) override;
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
-    void onSemaPost(const SyncEvent &ev) override;
-    void onSemaWait(const SyncEvent &ev) override;
-    void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
-    void onRwLockRelease(const SyncEvent &ev, bool writer) override;
-    void onCondSignal(const SyncEvent &ev) override;
-    void onCondBroadcast(const SyncEvent &ev) override;
-    void onCondWait(const SyncEvent &ev) override;
-    void onAtomicStore(const SyncEvent &ev) override;
-    void onAtomicLoad(const SyncEvent &ev) override;
 
     /** @return reads handled on the O(1) same-epoch fast path. */
     std::uint64_t fastPathReads() const { return fastReads_; }
@@ -74,21 +61,8 @@ class FastTrackDetector : public RaceDetector
 
     void access(const MemEvent &ev, bool write);
 
-    /** Per-rwlock release clocks (see HappensBeforeDetector::RwVc). */
-    struct RwVc
-    {
-        VClock writeVc;
-        VClock readVc;
-    };
-
     unsigned gran_;
     std::unordered_map<Addr, Shadow> shadow_;
-    std::array<VClock, kMaxThreads> threadVc_{};
-    std::unordered_map<LockAddr, VClock> lockVc_;
-    std::unordered_map<Addr, VClock> semaVc_;
-    std::unordered_map<LockAddr, RwVc> rwVc_;
-    std::unordered_map<Addr, VClock> condVc_;
-    std::unordered_map<Addr, VClock> atomVc_;
     std::uint64_t fastReads_ = 0;
     std::uint64_t inflations_ = 0;
 };

@@ -8,7 +8,9 @@ namespace hard
 
 HappensBeforeDetector::HappensBeforeDetector(const std::string &name,
                                              const HbConfig &cfg)
-    : RaceDetector(name), cfg_(cfg), meta_(cfg.metaGeometry, cfg.unbounded)
+    : ClockedDetector(name),
+      cfg_(cfg),
+      meta_(cfg.metaGeometry, cfg.unbounded)
 {
     const unsigned line = cfg_.metaGeometry.lineBytes;
     hard_fatal_if(cfg_.granularityBytes == 0 ||
@@ -18,16 +20,12 @@ HappensBeforeDetector::HappensBeforeDetector(const std::string &name,
                   cfg_.granularityBytes, line);
     hard_fatal_if(line / cfg_.granularityBytes > 8,
                   "hb: more than 8 granules per line unsupported");
-    // Initial vector clocks: each thread starts at its own epoch 1.
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        threadVc_[t][t] = 1;
 }
 
 void
 HappensBeforeDetector::access(const MemEvent &ev, bool write)
 {
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
+    const VClock &vc = clock(ev.tid);
     bool fresh = false;
     Line &line = meta_.lookup(ev.addr, fresh);
 
@@ -35,7 +33,6 @@ HappensBeforeDetector::access(const MemEvent &ev, bool write)
     const Addr line_base = cfg_.metaGeometry.lineAddr(ev.addr);
     const Addr lo = alignDown(ev.addr, gran);
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
-    const VClock &vc = threadVc_[ev.tid];
 
     for (Addr a = lo; a < hi; a += gran) {
         Granule &g = line.g[(a - line_base) / gran];
@@ -73,144 +70,6 @@ void
 HappensBeforeDetector::onWrite(const MemEvent &ev)
 {
     access(ev, true);
-}
-
-void
-HappensBeforeDetector::onLockAcquire(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    auto it = lockVc_.find(ev.lock);
-    if (it != lockVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-HappensBeforeDetector::onLockRelease(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    VClock &lvc = lockVc_[ev.lock];
-    lvc.join(threadVc_[ev.tid]);
-    // Advance the releasing thread into a new epoch so later accesses
-    // are not ordered before the released critical section.
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-HappensBeforeDetector::onSemaPost(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    // Happens-before understands hand-crafted synchronization (this is
-    // precisely where it generates fewer false alarms than lockset):
-    // a post releases the poster's history into the semaphore...
-    VClock &svc = semaVc_[ev.lock];
-    svc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-HappensBeforeDetector::onSemaWait(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    // ... and a completed wait acquires it.
-    auto it = semaVc_.find(ev.lock);
-    if (it != semaVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-HappensBeforeDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    auto it = rwVc_.find(ev.lock);
-    if (it == rwVc_.end())
-        return;
-    // Writers are ordered after every prior holder; readers only after
-    // prior writers (two readers in the same read-side epoch stay
-    // concurrent).
-    threadVc_[ev.tid].join(it->second.writeVc);
-    if (writer)
-        threadVc_[ev.tid].join(it->second.readVc);
-}
-
-void
-HappensBeforeDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    RwVc &rw = rwVc_[ev.lock];
-    (writer ? rw.writeVc : rw.readVc).join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-HappensBeforeDetector::onCondSignal(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    // Signal/broadcast releases the signaller's history into the
-    // condvar; a completed wait acquires it (same shape as semaphores).
-    VClock &cvc = condVc_[ev.lock];
-    cvc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-HappensBeforeDetector::onCondBroadcast(const SyncEvent &ev)
-{
-    onCondSignal(ev);
-}
-
-void
-HappensBeforeDetector::onCondWait(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    auto it = condVc_.find(ev.lock);
-    if (it != condVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-HappensBeforeDetector::onAtomicStore(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    // Store-release publishes the storer's history at the location;
-    // load-acquire picks it up. Sound for the recorded global
-    // completion order (each load observes the latest prior store).
-    VClock &avc = atomVc_[ev.lock];
-    avc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-HappensBeforeDetector::onAtomicLoad(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads, "hb: thread id %u too large",
-                  ev.tid);
-    auto it = atomVc_.find(ev.lock);
-    if (it != atomVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-HappensBeforeDetector::onBarrier(const BarrierEvent &ev)
-{
-    (void)ev;
-    // All participants synchronize: join everything, then advance each
-    // thread into a fresh epoch.
-    VClock all;
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        all.join(threadVc_[t]);
-    for (unsigned t = 0; t < kMaxThreads; ++t) {
-        threadVc_[t] = all;
-        ++threadVc_[t][t];
-    }
 }
 
 } // namespace hard

@@ -17,11 +17,9 @@
 #define HARD_DETECTORS_HAPPENS_BEFORE_HH
 
 #include <array>
-#include <unordered_map>
 
 #include "detectors/meta_cache.hh"
-#include "detectors/report.hh"
-#include "detectors/vclock.hh"
+#include "detectors/sync_order.hh"
 
 namespace hard
 {
@@ -51,7 +49,7 @@ struct HbConfig
 };
 
 /** Vector-clock happens-before detector. */
-class HappensBeforeDetector : public RaceDetector
+class HappensBeforeDetector : public ClockedDetector
 {
   public:
     /**
@@ -62,18 +60,6 @@ class HappensBeforeDetector : public RaceDetector
 
     void onRead(const MemEvent &ev) override;
     void onWrite(const MemEvent &ev) override;
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
-    void onSemaPost(const SyncEvent &ev) override;
-    void onSemaWait(const SyncEvent &ev) override;
-    void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
-    void onRwLockRelease(const SyncEvent &ev, bool writer) override;
-    void onCondSignal(const SyncEvent &ev) override;
-    void onCondBroadcast(const SyncEvent &ev) override;
-    void onCondWait(const SyncEvent &ev) override;
-    void onAtomicStore(const SyncEvent &ev) override;
-    void onAtomicLoad(const SyncEvent &ev) override;
 
     /** @return timestamp lines displaced (history lost). */
     std::uint64_t metadataEvictions() const { return meta_.evictions(); }
@@ -97,27 +83,8 @@ class HappensBeforeDetector : public RaceDetector
     /** Apply one access to every granule it overlaps. */
     void access(const MemEvent &ev, bool write);
 
-    /**
-     * Synchronization clocks of one rwlock: writeVc carries the
-     * history released by write-unlocks, readVc the history released
-     * by read-unlocks. A write acquire joins both (the writer is
-     * ordered after every prior holder); a read acquire joins writeVc
-     * only, so concurrent readers stay unordered with each other.
-     */
-    struct RwVc
-    {
-        VClock writeVc;
-        VClock readVc;
-    };
-
     HbConfig cfg_;
     MetaCache<Line> meta_;
-    std::array<VClock, kMaxThreads> threadVc_{};
-    std::unordered_map<LockAddr, VClock> lockVc_;
-    std::unordered_map<Addr, VClock> semaVc_;
-    std::unordered_map<LockAddr, RwVc> rwVc_;
-    std::unordered_map<Addr, VClock> condVc_;
-    std::unordered_map<Addr, VClock> atomVc_;
 };
 
 } // namespace hard

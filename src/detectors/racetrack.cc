@@ -10,13 +10,11 @@ namespace hard
 
 RaceTrackDetector::RaceTrackDetector(const std::string &name,
                                      const RaceTrackConfig &cfg)
-    : RaceDetector(name), cfg_(cfg)
+    : ClockedDetector(name), cfg_(cfg)
 {
     hard_fatal_if(cfg_.granularityBytes == 0 ||
                       !isPowerOf2(cfg_.granularityBytes),
                   "racetrack: bad granularity %u", cfg_.granularityBytes);
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        threadVc_[t][t] = 1;
 }
 
 const std::set<LockAddr> &
@@ -38,13 +36,11 @@ RaceTrackDetector::readLockset(ThreadId tid) const
 void
 RaceTrackDetector::access(const MemEvent &ev, bool write)
 {
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
+    const VClock &vc = clock(ev.tid);
     const unsigned gran = cfg_.granularityBytes;
     const Addr lo = alignDown(ev.addr, gran);
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
     const std::set<LockAddr> locks = held_[ev.tid].effective(write);
-    const VClock &vc = threadVc_[ev.tid];
 
     for (Addr a = lo; a < hi; a += gran) {
         Granule &g = shadow_[a];
@@ -94,137 +90,53 @@ RaceTrackDetector::onWrite(const MemEvent &ev)
 void
 RaceTrackDetector::onLockAcquire(const SyncEvent &ev)
 {
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
+    // The base goes first in the lock hooks: it checks the thread id
+    // before held_ is touched.
+    ClockedDetector::onLockAcquire(ev);
     ThreadLocksets &ls = held_[ev.tid];
     bool inserted = ls.writeHeld.insert(ev.lock).second;
     hard_panic_if(!inserted && !cfg_.tolerateUnbalanced,
                   "racetrack: thread %u re-acquired lock %llx", ev.tid,
                   static_cast<unsigned long long>(ev.lock));
-    auto it = lockVc_.find(ev.lock);
-    if (it != lockVc_.end())
-        threadVc_[ev.tid].join(it->second);
 }
 
 void
 RaceTrackDetector::onLockRelease(const SyncEvent &ev)
 {
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
+    ClockedDetector::onLockRelease(ev);
     std::size_t erased = held_[ev.tid].writeHeld.erase(ev.lock);
     hard_panic_if(erased == 0 && !cfg_.tolerateUnbalanced,
                   "racetrack: thread %u released unheld lock %llx",
                   ev.tid, static_cast<unsigned long long>(ev.lock));
-    VClock &lvc = lockVc_[ev.lock];
-    lvc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-RaceTrackDetector::onSemaPost(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
-    VClock &svc = semaVc_[ev.lock];
-    svc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-RaceTrackDetector::onSemaWait(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
-    auto it = semaVc_.find(ev.lock);
-    if (it != semaVc_.end())
-        threadVc_[ev.tid].join(it->second);
 }
 
 void
 RaceTrackDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
 {
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
+    ClockedDetector::onRwLockAcquire(ev, writer);
     ThreadLocksets &ls = held_[ev.tid];
     bool inserted =
         (writer ? ls.writeHeld : ls.readHeld).insert(ev.lock).second;
     hard_panic_if(!inserted && !cfg_.tolerateUnbalanced,
                   "racetrack: thread %u re-acquired rwlock %llx", ev.tid,
                   static_cast<unsigned long long>(ev.lock));
-    auto it = rwVc_.find(ev.lock);
-    if (it != rwVc_.end()) {
-        threadVc_[ev.tid].join(it->second.writeVc);
-        if (writer)
-            threadVc_[ev.tid].join(it->second.readVc);
-    }
 }
 
 void
 RaceTrackDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
 {
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
+    ClockedDetector::onRwLockRelease(ev, writer);
     ThreadLocksets &ls = held_[ev.tid];
     std::size_t erased =
         (writer ? ls.writeHeld : ls.readHeld).erase(ev.lock);
     hard_panic_if(erased == 0 && !cfg_.tolerateUnbalanced,
                   "racetrack: thread %u released unheld rwlock %llx",
                   ev.tid, static_cast<unsigned long long>(ev.lock));
-    RwVc &rw = rwVc_[ev.lock];
-    (writer ? rw.writeVc : rw.readVc).join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-RaceTrackDetector::onCondSignal(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
-    VClock &cvc = condVc_[ev.lock];
-    cvc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-RaceTrackDetector::onCondBroadcast(const SyncEvent &ev)
-{
-    onCondSignal(ev);
-}
-
-void
-RaceTrackDetector::onCondWait(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
-    auto it = condVc_.find(ev.lock);
-    if (it != condVc_.end())
-        threadVc_[ev.tid].join(it->second);
-}
-
-void
-RaceTrackDetector::onAtomicStore(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
-    VClock &avc = atomVc_[ev.lock];
-    avc.join(threadVc_[ev.tid]);
-    ++threadVc_[ev.tid][ev.tid];
-}
-
-void
-RaceTrackDetector::onAtomicLoad(const SyncEvent &ev)
-{
-    hard_panic_if(ev.tid >= kMaxThreads,
-                  "racetrack: thread id %u too large", ev.tid);
-    auto it = atomVc_.find(ev.lock);
-    if (it != atomVc_.end())
-        threadVc_[ev.tid].join(it->second);
 }
 
 void
 RaceTrackDetector::onBarrier(const BarrierEvent &ev)
 {
-    (void)ev;
     if (cfg_.barrierReset) {
         // §3.5-equivalent flash reset: pre-barrier evidence must not
         // be held against post-barrier accesses (matches the ideal
@@ -235,13 +147,7 @@ RaceTrackDetector::onBarrier(const BarrierEvent &ev)
             kv.second.owner = invalidThread;
         }
     }
-    VClock all;
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        all.join(threadVc_[t]);
-    for (unsigned t = 0; t < kMaxThreads; ++t) {
-        threadVc_[t] = all;
-        ++threadVc_[t][t];
-    }
+    ClockedDetector::onBarrier(ev);
 }
 
 } // namespace hard

@@ -36,8 +36,7 @@
 
 #include "detectors/ideal_lockset.hh"
 #include "detectors/lockset_state.hh"
-#include "detectors/report.hh"
-#include "detectors/vclock.hh"
+#include "detectors/sync_order.hh"
 
 namespace hard
 {
@@ -57,7 +56,7 @@ struct RaceTrackConfig
 };
 
 /** Adaptive lockset/happens-before hybrid with rwlock-aware sets. */
-class RaceTrackDetector : public RaceDetector
+class RaceTrackDetector : public ClockedDetector
 {
   public:
     RaceTrackDetector(const std::string &name,
@@ -68,15 +67,8 @@ class RaceTrackDetector : public RaceDetector
     void onLockAcquire(const SyncEvent &ev) override;
     void onLockRelease(const SyncEvent &ev) override;
     void onBarrier(const BarrierEvent &ev) override;
-    void onSemaPost(const SyncEvent &ev) override;
-    void onSemaWait(const SyncEvent &ev) override;
     void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
     void onRwLockRelease(const SyncEvent &ev, bool writer) override;
-    void onCondSignal(const SyncEvent &ev) override;
-    void onCondBroadcast(const SyncEvent &ev) override;
-    void onCondWait(const SyncEvent &ev) override;
-    void onAtomicStore(const SyncEvent &ev) override;
-    void onAtomicLoad(const SyncEvent &ev) override;
 
     /** @return lockset alarms suppressed by the happens-before check. */
     std::uint64_t suppressed() const { return suppressed_; }
@@ -102,24 +94,10 @@ class RaceTrackDetector : public RaceDetector
 
     void access(const MemEvent &ev, bool write);
 
-    /** Per-rwlock release clocks (see HappensBeforeDetector::RwVc). */
-    struct RwVc
-    {
-        VClock writeVc;
-        VClock readVc;
-    };
-
     RaceTrackConfig cfg_;
     std::unordered_map<Addr, Granule> shadow_;
     /** Per-thread write-held/read-held lock sets. */
     std::unordered_map<ThreadId, ThreadLocksets> held_;
-    /** Full happens-before clocks: every sync edge, locks included. */
-    std::array<VClock, kMaxThreads> threadVc_{};
-    std::unordered_map<LockAddr, VClock> lockVc_;
-    std::unordered_map<Addr, VClock> semaVc_;
-    std::unordered_map<LockAddr, RwVc> rwVc_;
-    std::unordered_map<Addr, VClock> condVc_;
-    std::unordered_map<Addr, VClock> atomVc_;
     std::uint64_t suppressed_ = 0;
 };
 

@@ -221,7 +221,8 @@ TEST_P(BloomSoundness, HardReportsAreSubsetOfIdealReports)
     Addr vars = b.alloc("vars", kVars * 32, 32);
     std::vector<LockAddr> locks;
     for (unsigned i = 0; i < kLocks; ++i)
-        locks.push_back(b.allocLock("L" + std::to_string(i)));
+        locks.push_back(b.allocLock(std::string("L").append(
+            std::to_string(i))));
     SiteId site = b.site("rw");
     SiteId slk = b.site("lk");
 

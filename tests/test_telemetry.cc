@@ -175,8 +175,9 @@ TEST(Telemetry, TraceEventsAreWellFormed)
             saw_meta = true;
             continue; // metadata events carry no cat
         }
-        if (ph != "M")
+        if (ph != "M") {
             EXPECT_FALSE(e["cat"].asString().empty());
+        }
     }
     EXPECT_TRUE(saw_complete); // bus transactions / cache misses
     EXPECT_TRUE(saw_instant);  // sync events

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/hard_detector.hh"
 #include "detector_test_util.hh"
 #include "workloads/injector.hh"
@@ -18,8 +21,11 @@ namespace hard
 namespace
 {
 
+// The app is a std::string, not a const char *: gtest prints a char
+// pointer's address into the test's parameter description, which
+// would make the discovered CTest names differ from build to build.
 class ThreadCountSweep
-    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
 {
 };
 

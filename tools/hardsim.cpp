@@ -30,7 +30,9 @@
 
 #include "common/table.hh"
 #include "core/hybrid.hh"
+#include "detectors/djit_plus.hh"
 #include "detectors/fasttrack.hh"
+#include "detectors/racetrack.hh"
 #include "explain/classifier.hh"
 #include "explain/explain_json.hh"
 #include "harness/batch.hh"
@@ -171,7 +173,8 @@ usage()
         "  --seed=<n>                workload layout seed\n"
         "  --inject=<seed>           elide one dynamic lock/unlock pair\n"
         "  --detectors=<a,b,...>     hard, ideal, hb, hb-ideal, hybrid,\n"
-        "                            fasttrack (or 'none')\n"
+        "                            fasttrack, djit, racetrack (or\n"
+        "                            'none')\n"
         "  --record=<file>           write the run's trace\n"
         "  --replay=<file>           analyze a trace offline instead of\n"
         "                            simulating\n"
@@ -642,9 +645,15 @@ makeDetectors(const Options &o)
         } else if (name == "fasttrack") {
             dets.push_back(
                 std::make_unique<FastTrackDetector>("fasttrack", 4));
+        } else if (name == "djit") {
+            dets.push_back(
+                std::make_unique<DjitPlusDetector>("djit-plus", 4));
+        } else if (name == "racetrack") {
+            dets.push_back(std::make_unique<RaceTrackDetector>(
+                "racetrack", RaceTrackConfig{}));
         } else {
             fatal("unknown detector '%s' (hard, ideal, hb, hb-ideal, "
-                  "hybrid, fasttrack)",
+                  "hybrid, fasttrack, djit, racetrack)",
                   name.c_str());
         }
     }
