@@ -4,8 +4,9 @@
  * lockset set operations become "fast bitwise logic operations" in
  * HARD: BFVector signature/intersection/emptiness, Lock Register
  * updates, the Figure 2 state machine, the exact (software) set
- * intersection they replace, per-access detector costs, and the
- * underlying cache/bus substrate.
+ * intersection they replace (on std::set and on interned lockset
+ * ids), per-access detector costs, and the underlying cache/bus
+ * substrate.
  */
 
 #include <benchmark/benchmark.h>
@@ -62,6 +63,22 @@ BM_ExactSetIntersect(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ExactSetIntersect);
+
+void
+BM_InternedLocksetMeet(benchmark::State &state)
+{
+    // The same intersection on interned lockset ids, as the ideal
+    // lockset and RaceTrack detectors do it: after the first call,
+    // every meet is a memo hit.
+    LocksetTable table;
+    const LocksetId held = table.intern({0x1a4, 0x2b8});
+    const LocksetId cand = table.intern({0x1a4, 0x3cc, 0x4d0});
+    for (auto _ : state) {
+        LocksetId c = table.meet(cand, held);
+        benchmark::DoNotOptimize(c);
+    }
+}
+BENCHMARK(BM_InternedLocksetMeet);
 
 void
 BM_LockRegisterAcquireRelease(benchmark::State &state)

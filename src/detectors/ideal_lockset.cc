@@ -9,42 +9,47 @@
 namespace hard
 {
 
+namespace
+{
+
+unsigned
+checkedGranularity(unsigned bytes)
+{
+    hard_fatal_if(bytes == 0 || !isPowerOf2(bytes),
+                  "ideal-lockset: bad granularity %u", bytes);
+    return bytes;
+}
+
+} // namespace
+
 IdealLocksetDetector::IdealLocksetDetector(const std::string &name,
                                            const IdealLocksetConfig &cfg)
-    : RaceDetector(name), cfg_(cfg)
+    : RaceDetector(name), cfg_(cfg),
+      shadow_(checkedGranularity(cfg.granularityBytes)),
+      held_("ideal-lockset", cfg.tolerateUnbalanced)
 {
-    hard_fatal_if(cfg_.granularityBytes == 0 ||
-                      !isPowerOf2(cfg_.granularityBytes),
-                  "ideal-lockset: bad granularity %u",
-                  cfg_.granularityBytes);
 }
 
 const std::set<LockAddr> &
 IdealLocksetDetector::lockset(ThreadId tid) const
 {
-    static const std::set<LockAddr> empty;
-    auto it = held_.find(tid);
-    return it == held_.end() ? empty : it->second.writeHeld;
+    return held_.writeHeld(tid);
 }
 
 const std::set<LockAddr> &
 IdealLocksetDetector::readLockset(ThreadId tid) const
 {
-    static const std::set<LockAddr> empty;
-    auto it = held_.find(tid);
-    return it == held_.end() ? empty : it->second.readHeld;
+    return held_.readHeld(tid);
 }
 
 void
 IdealLocksetDetector::access(const MemEvent &ev, bool write)
 {
     const unsigned gran = cfg_.granularityBytes;
-    const Addr lo = alignDown(ev.addr, gran);
-    const Addr hi = ev.addr + (ev.size ? ev.size : 1);
-    const std::set<LockAddr> locks = held_[ev.tid].effective(write);
+    LocksetTable &table = held_.table();
+    const LocksetId locks = held_.protecting(ev.tid, write);
 
-    for (Addr a = lo; a < hi; a += gran) {
-        Granule &g = shadow_[a];
+    shadow_.forEach(ev.addr, ev.size, [&](Addr a, Granule &g) {
         if (prov_)
             prov_->noteAccess(a, ev.tid, ev.at);
         const LState state_before = g.state;
@@ -52,26 +57,27 @@ IdealLocksetDetector::access(const MemEvent &ev, bool write)
         g.state = step.next;
         g.owner = step.owner;
         if (step.updateCandidate) {
-            g.candidate.intersect(locks);
-            if (!g.candidate.isUniverse()) {
-                std::size_t sz = g.candidate.locks().size();
+            g.candidate = table.meet(g.candidate, locks);
+            const bool universe = g.candidate == kUniverseLockset;
+            const std::size_t sz = table.size(g.candidate);
+            if (!universe) {
                 sizeStats_.maxCandidate =
                     std::max(sizeStats_.maxCandidate, sz);
                 ++sizeStats_.candidateHist[std::min<std::size_t>(sz, 7)];
             }
             if (prov_)
-                prov_->recordExactNarrow(
-                    a, ev.tid, ev.site, write, ev.at, state_before,
-                    g.state, locks, g.candidate.isUniverse(),
-                    static_cast<unsigned>(g.candidate.locks().size()));
+                prov_->recordExactNarrow(a, ev.tid, ev.site, write, ev.at,
+                                         state_before, g.state, table,
+                                         locks, universe,
+                                         static_cast<unsigned>(sz));
         }
-        if (step.reportIfEmpty && g.candidate.empty()) {
+        if (step.reportIfEmpty && g.candidate == kEmptyLockset) {
             emit(ev.tid, a, gran, ev.site, write, ev.at,
                  prov_ ? prov_->lastOther(a) : invalidThread);
             if (prov_)
                 prov_->recordReport(a, ev.tid, ev.site, write, ev.at);
         }
-    }
+    });
 }
 
 void
@@ -89,50 +95,27 @@ IdealLocksetDetector::onWrite(const MemEvent &ev)
 void
 IdealLocksetDetector::onLockAcquire(const SyncEvent &ev)
 {
-    ThreadLocksets &ls = held_[ev.tid];
-    auto [it, inserted] = ls.writeHeld.insert(ev.lock);
-    (void)it;
-    hard_panic_if(!inserted && !cfg_.tolerateUnbalanced,
-                  "ideal-lockset: thread %u re-acquired lock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
-    sizeStats_.maxLockset =
-        std::max(sizeStats_.maxLockset,
-                 ls.writeHeld.size() + ls.readHeld.size());
+    held_.acquire(ev.tid, ev.lock, true, false);
+    sizeStats_.maxLockset = held_.maxHeld();
 }
 
 void
 IdealLocksetDetector::onLockRelease(const SyncEvent &ev)
 {
-    std::size_t erased = held_[ev.tid].writeHeld.erase(ev.lock);
-    hard_panic_if(erased == 0 && !cfg_.tolerateUnbalanced,
-                  "ideal-lockset: thread %u released unheld lock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
+    held_.release(ev.tid, ev.lock, true, false);
 }
 
 void
 IdealLocksetDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
 {
-    ThreadLocksets &ls = held_[ev.tid];
-    auto [it, inserted] =
-        (writer ? ls.writeHeld : ls.readHeld).insert(ev.lock);
-    (void)it;
-    hard_panic_if(!inserted && !cfg_.tolerateUnbalanced,
-                  "ideal-lockset: thread %u re-acquired rwlock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
-    sizeStats_.maxLockset =
-        std::max(sizeStats_.maxLockset,
-                 ls.writeHeld.size() + ls.readHeld.size());
+    held_.acquire(ev.tid, ev.lock, writer, true);
+    sizeStats_.maxLockset = held_.maxHeld();
 }
 
 void
 IdealLocksetDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
 {
-    ThreadLocksets &ls = held_[ev.tid];
-    std::size_t erased =
-        (writer ? ls.writeHeld : ls.readHeld).erase(ev.lock);
-    hard_panic_if(erased == 0 && !cfg_.tolerateUnbalanced,
-                  "ideal-lockset: thread %u released unheld rwlock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
+    held_.release(ev.tid, ev.lock, writer, true);
 }
 
 void
@@ -145,12 +128,9 @@ IdealLocksetDetector::onBarrier(const BarrierEvent &ev)
     // §3.5: discard pre-barrier evidence — accesses on either side of
     // the barrier are ordered, so neither their lock sets nor their
     // sharing history may be held against post-barrier accesses (see
-    // HardDetector::onBarrier for the Figure 7 rationale).
-    for (auto &kv : shadow_) {
-        kv.second.candidate.resetToUniverse();
-        kv.second.state = LState::Virgin;
-        kv.second.owner = invalidThread;
-    }
+    // HardDetector::onBarrier for the Figure 7 rationale). Every
+    // granule reads as Virgin with a universe candidate set from now on.
+    shadow_.onBarrier();
 }
 
 } // namespace hard

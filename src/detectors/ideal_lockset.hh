@@ -11,10 +11,9 @@
 #define HARD_DETECTORS_IDEAL_LOCKSET_HH
 
 #include <array>
-#include <map>
 #include <set>
-#include <unordered_map>
 
+#include "detectors/lockset_core.hh"
 #include "detectors/lockset_state.hh"
 #include "detectors/report.hh"
 
@@ -39,54 +38,6 @@ struct IdealLocksetConfig
     bool tolerateUnbalanced = false;
 };
 
-/**
- * An exact candidate set: either the universe of all locks (the
- * initial value) or an explicit finite set.
- */
-class ExactLockset
-{
-  public:
-    /** Start as the universe ("all possible locks"). */
-    ExactLockset() = default;
-
-    /** Reset to the universe (barrier pruning, §3.5). */
-    void
-    resetToUniverse()
-    {
-        universe_ = true;
-        set_.clear();
-    }
-
-    /** Intersect with the exact thread lock set @p held. */
-    void
-    intersect(const std::set<LockAddr> &held)
-    {
-        if (universe_) {
-            universe_ = false;
-            set_ = held;
-            return;
-        }
-        for (auto it = set_.begin(); it != set_.end();) {
-            if (held.count(*it) == 0)
-                it = set_.erase(it);
-            else
-                ++it;
-        }
-    }
-
-    bool isUniverse() const { return universe_; }
-    bool
-    empty() const
-    {
-        return !universe_ && set_.empty();
-    }
-    const std::set<LockAddr> &locks() const { return set_; }
-
-  private:
-    bool universe_ = true;
-    std::set<LockAddr> set_;
-};
-
 /** Eraser-style exact lockset detector, unbounded and fine-grained. */
 class IdealLocksetDetector : public RaceDetector
 {
@@ -104,7 +55,7 @@ class IdealLocksetDetector : public RaceDetector
      * Rwlock-aware lockset maintenance: a writer hold protects like a
      * mutex; a reader hold protects reads only (concurrent readers
      * are admitted, so a write under a reader hold is unprotected).
-     * Accesses intersect with ThreadLocksets::effective(write).
+     * Accesses intersect with HeldLocks::protecting(write).
      */
     void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
     void onRwLockRelease(const SyncEvent &ev, bool writer) override;
@@ -150,15 +101,18 @@ class IdealLocksetDetector : public RaceDetector
     {
         LState state = LState::Virgin;
         ThreadId owner = invalidThread;
-        ExactLockset candidate;
+        LocksetId candidate = kUniverseLockset;
+
+        /** §3.5: a barrier forgets everything. */
+        void barrierReset() { *this = Granule{}; }
     };
 
     void access(const MemEvent &ev, bool write);
 
     IdealLocksetConfig cfg_;
-    std::unordered_map<Addr, Granule> shadow_;
-    /** Per-thread write-held/read-held lock sets. */
-    std::unordered_map<ThreadId, ThreadLocksets> held_;
+    ShadowMemory<Granule> shadow_;
+    /** Per-thread write-held/read-held lock sets and their table. */
+    HeldLocks held_;
     SetSizeStats sizeStats_;
     /** Provenance recorder; null unless an explain run attached one. */
     ProvRecorder *prov_ = nullptr;

@@ -67,14 +67,4 @@ lstateAccess(LState cur, ThreadId owner, ThreadId tid, bool write)
     return out;
 }
 
-std::set<LockAddr>
-ThreadLocksets::effective(bool write) const
-{
-    if (write)
-        return writeHeld;
-    std::set<LockAddr> out = writeHeld;
-    out.insert(readHeld.begin(), readHeld.end());
-    return out;
-}
-
 } // namespace hard

@@ -15,7 +15,6 @@
 #define HARD_DETECTORS_LOCKSET_STATE_HH
 
 #include <cstdint>
-#include <set>
 
 #include "common/types.hh"
 
@@ -57,26 +56,6 @@ struct LStateStep
  */
 LStateStep lstateAccess(LState cur, ThreadId owner, ThreadId tid,
                         bool write);
-
-/**
- * Read-held vs write-held lock sets of one thread, for rwlock-aware
- * lockset detectors. Mutex and writer-mode rwlock holds live in
- * writeHeld; reader-mode rwlock holds in readHeld (the two are
- * disjoint — a thread holds a rwlock in one mode at a time).
- */
-struct ThreadLocksets
-{
-    std::set<LockAddr> writeHeld;
-    std::set<LockAddr> readHeld;
-
-    /**
-     * @return the locks that actually protect an access: a write is
-     * protected only by write-held locks (a reader hold admits
-     * concurrent readers of the same data), while a read is protected
-     * by locks held in either mode (any hold excludes writers).
-     */
-    std::set<LockAddr> effective(bool write) const;
-};
 
 } // namespace hard
 

@@ -1,36 +1,42 @@
 #include "detectors/racetrack.hh"
 
-#include <algorithm>
-
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace hard
 {
 
+namespace
+{
+
+unsigned
+checkedGranularity(unsigned bytes)
+{
+    hard_fatal_if(bytes == 0 || !isPowerOf2(bytes),
+                  "racetrack: bad granularity %u", bytes);
+    return bytes;
+}
+
+} // namespace
+
 RaceTrackDetector::RaceTrackDetector(const std::string &name,
                                      const RaceTrackConfig &cfg)
-    : ClockedDetector(name), cfg_(cfg)
+    : ClockedDetector(name), cfg_(cfg),
+      shadow_(checkedGranularity(cfg.granularityBytes)),
+      held_("racetrack", cfg.tolerateUnbalanced)
 {
-    hard_fatal_if(cfg_.granularityBytes == 0 ||
-                      !isPowerOf2(cfg_.granularityBytes),
-                  "racetrack: bad granularity %u", cfg_.granularityBytes);
 }
 
 const std::set<LockAddr> &
 RaceTrackDetector::lockset(ThreadId tid) const
 {
-    static const std::set<LockAddr> empty;
-    auto it = held_.find(tid);
-    return it == held_.end() ? empty : it->second.writeHeld;
+    return held_.writeHeld(tid);
 }
 
 const std::set<LockAddr> &
 RaceTrackDetector::readLockset(ThreadId tid) const
 {
-    static const std::set<LockAddr> empty;
-    auto it = held_.find(tid);
-    return it == held_.end() ? empty : it->second.readHeld;
+    return held_.readHeld(tid);
 }
 
 void
@@ -38,18 +44,16 @@ RaceTrackDetector::access(const MemEvent &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     const unsigned gran = cfg_.granularityBytes;
-    const Addr lo = alignDown(ev.addr, gran);
-    const Addr hi = ev.addr + (ev.size ? ev.size : 1);
-    const std::set<LockAddr> locks = held_[ev.tid].effective(write);
+    LocksetTable &table = held_.table();
+    const LocksetId locks = held_.protecting(ev.tid, write);
 
-    for (Addr a = lo; a < hi; a += gran) {
-        Granule &g = shadow_[a];
+    shadow_.forEach(ev.addr, ev.size, [&](Addr a, Granule &g) {
         LStateStep step = lstateAccess(g.state, g.owner, ev.tid, write);
         g.state = step.next;
         g.owner = step.owner;
         if (step.updateCandidate) {
-            g.candidate.intersect(locks);
-            if (step.reportIfEmpty && g.candidate.empty()) {
+            g.candidate = table.meet(g.candidate, locks);
+            if (step.reportIfEmpty && g.candidate == kEmptyLockset) {
                 // The lockset side flags a violation; the adaptive
                 // side withdraws it when every other thread's last
                 // access is ordered before this one by *any*
@@ -72,7 +76,7 @@ RaceTrackDetector::access(const MemEvent &ev, bool write)
             }
         }
         g.accessClk[ev.tid] = vc[ev.tid];
-    }
+    });
 }
 
 void
@@ -93,45 +97,28 @@ RaceTrackDetector::onLockAcquire(const SyncEvent &ev)
     // The base goes first in the lock hooks: it checks the thread id
     // before held_ is touched.
     ClockedDetector::onLockAcquire(ev);
-    ThreadLocksets &ls = held_[ev.tid];
-    bool inserted = ls.writeHeld.insert(ev.lock).second;
-    hard_panic_if(!inserted && !cfg_.tolerateUnbalanced,
-                  "racetrack: thread %u re-acquired lock %llx", ev.tid,
-                  static_cast<unsigned long long>(ev.lock));
+    held_.acquire(ev.tid, ev.lock, true, false);
 }
 
 void
 RaceTrackDetector::onLockRelease(const SyncEvent &ev)
 {
     ClockedDetector::onLockRelease(ev);
-    std::size_t erased = held_[ev.tid].writeHeld.erase(ev.lock);
-    hard_panic_if(erased == 0 && !cfg_.tolerateUnbalanced,
-                  "racetrack: thread %u released unheld lock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
+    held_.release(ev.tid, ev.lock, true, false);
 }
 
 void
 RaceTrackDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
 {
     ClockedDetector::onRwLockAcquire(ev, writer);
-    ThreadLocksets &ls = held_[ev.tid];
-    bool inserted =
-        (writer ? ls.writeHeld : ls.readHeld).insert(ev.lock).second;
-    hard_panic_if(!inserted && !cfg_.tolerateUnbalanced,
-                  "racetrack: thread %u re-acquired rwlock %llx", ev.tid,
-                  static_cast<unsigned long long>(ev.lock));
+    held_.acquire(ev.tid, ev.lock, writer, true);
 }
 
 void
 RaceTrackDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
 {
     ClockedDetector::onRwLockRelease(ev, writer);
-    ThreadLocksets &ls = held_[ev.tid];
-    std::size_t erased =
-        (writer ? ls.writeHeld : ls.readHeld).erase(ev.lock);
-    hard_panic_if(erased == 0 && !cfg_.tolerateUnbalanced,
-                  "racetrack: thread %u released unheld rwlock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
+    held_.release(ev.tid, ev.lock, writer, true);
 }
 
 void
@@ -141,11 +128,9 @@ RaceTrackDetector::onBarrier(const BarrierEvent &ev)
         // §3.5-equivalent flash reset: pre-barrier evidence must not
         // be held against post-barrier accesses (matches the ideal
         // lockset detector, preserving racetrack-subset-of-ideal).
-        for (auto &kv : shadow_) {
-            kv.second.candidate.resetToUniverse();
-            kv.second.state = LState::Virgin;
-            kv.second.owner = invalidThread;
-        }
+        // Each granule's lockset fields read as reset from now on;
+        // its access clocks survive.
+        shadow_.onBarrier();
     }
     ClockedDetector::onBarrier(ev);
 }

@@ -6,7 +6,7 @@
  *
  * Like the ideal lockset detector it runs the Eraser state machine
  * (Figure 2) over exact per-granule candidate sets, intersecting with
- * ThreadLocksets::effective(write) so reader-mode rwlock holds protect
+ * HeldLocks::protecting(write) so reader-mode rwlock holds protect
  * reads but not writes. Unlike plain lockset, every empty-candidate
  * alarm is then re-checked against a *full* happens-before relation —
  * one that includes lock release->acquire edges as well as barriers,
@@ -32,9 +32,8 @@
 
 #include <array>
 #include <set>
-#include <unordered_map>
 
-#include "detectors/ideal_lockset.hh"
+#include "detectors/lockset_core.hh"
 #include "detectors/lockset_state.hh"
 #include "detectors/sync_order.hh"
 
@@ -87,17 +86,27 @@ class RaceTrackDetector : public ClockedDetector
     {
         LState state = LState::Virgin;
         ThreadId owner = invalidThread;
-        ExactLockset candidate;
+        LocksetId candidate = kUniverseLockset;
         /** Clock of each thread's last access (own component). */
         std::array<std::uint32_t, kMaxThreads> accessClk{};
+
+        /** A barrier forgets the lockset side only: the access clocks
+         * are happens-before history, which the barrier itself orders. */
+        void
+        barrierReset()
+        {
+            state = LState::Virgin;
+            owner = invalidThread;
+            candidate = kUniverseLockset;
+        }
     };
 
     void access(const MemEvent &ev, bool write);
 
     RaceTrackConfig cfg_;
-    std::unordered_map<Addr, Granule> shadow_;
-    /** Per-thread write-held/read-held lock sets. */
-    std::unordered_map<ThreadId, ThreadLocksets> held_;
+    ShadowMemory<Granule> shadow_;
+    /** Per-thread write-held/read-held lock sets and their table. */
+    HeldLocks held_;
     std::uint64_t suppressed_ = 0;
 };
 

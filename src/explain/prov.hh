@@ -27,11 +27,11 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "core/bloom.hh"
+#include "detectors/lockset_core.hh"
 #include "detectors/lockset_state.hh"
 
 namespace hard
@@ -218,12 +218,13 @@ class ProvRecorder
         push(g, e);
     }
 
-    /** An exact-lockset candidate intersection (reference side). */
+    /** An exact-lockset candidate intersection (reference side);
+     * @p held is the interned protecting set in @p locksets. */
     void
     recordExactNarrow(Addr granule, ThreadId tid, SiteId site,
                       bool write, Cycle at, LState state_before,
-                      LState state_after,
-                      const std::set<LockAddr> &held, bool universe_after,
+                      LState state_after, const LocksetTable &locksets,
+                      LocksetId held, bool universe_after,
                       unsigned cand_size_after)
     {
         GranuleProv &g = granules_[granule];
@@ -243,8 +244,8 @@ class ProvRecorder
         e.write = write;
         e.stateBefore = state_before;
         e.stateAfter = state_after;
-        e.heldSize = static_cast<unsigned>(held.size());
-        for (LockAddr l : held)
+        e.heldSize = static_cast<unsigned>(locksets.size(held));
+        for (LockAddr l : locksets.locks(held))
             e.exactSig |= BfVector::signatureBits(l, bloomBits_);
         e.candSize = g.lastCandSize;
         push(g, e);

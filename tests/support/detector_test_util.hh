@@ -37,6 +37,75 @@ reportedAt(const ReportSink &sink, SiteId s)
     return sink.sites().count(s) > 0;
 }
 
+/**
+ * Drives one detector's hooks directly with a hand-built event trace:
+ * 4-byte accesses, one cycle apart, each thread on its own core.
+ */
+class HandTrace
+{
+  public:
+    explicit HandTrace(RaceDetector &det) : det_(det) {}
+
+    void
+    write(ThreadId tid, Addr addr, SiteId site = 0)
+    {
+        det_.onWrite(mem(tid, addr, true, site));
+    }
+
+    void
+    read(ThreadId tid, Addr addr, SiteId site = 0)
+    {
+        det_.onRead(mem(tid, addr, false, site));
+    }
+
+    void lock(ThreadId tid, LockAddr l) { det_.onLockAcquire(sync(tid, l)); }
+    void unlock(ThreadId tid, LockAddr l) { det_.onLockRelease(sync(tid, l)); }
+    void post(ThreadId tid, Addr sema) { det_.onSemaPost(sync(tid, sema)); }
+    void wait(ThreadId tid, Addr sema) { det_.onSemaWait(sync(tid, sema)); }
+
+    /** Complete the next episode of one barrier object. */
+    void
+    barrier(unsigned participants)
+    {
+        BarrierEvent ev;
+        ev.barrier = 0xba00;
+        ev.episode = episode_++;
+        ev.at = ++at_;
+        ev.participants = participants;
+        det_.onBarrier(ev);
+    }
+
+  private:
+    MemEvent
+    mem(ThreadId tid, Addr addr, bool write, SiteId site)
+    {
+        MemEvent ev;
+        ev.tid = tid;
+        ev.core = tid;
+        ev.addr = addr;
+        ev.size = 4;
+        ev.write = write;
+        ev.site = site;
+        ev.at = ++at_;
+        return ev;
+    }
+
+    SyncEvent
+    sync(ThreadId tid, Addr obj)
+    {
+        SyncEvent ev;
+        ev.tid = tid;
+        ev.core = tid;
+        ev.lock = obj;
+        ev.at = ++at_;
+        return ev;
+    }
+
+    RaceDetector &det_;
+    Cycle at_ = 0;
+    unsigned episode_ = 0;
+};
+
 } // namespace hard
 
 #endif // HARD_TESTS_DETECTOR_TEST_UTIL_HH

@@ -202,6 +202,91 @@ TEST(IdealLockset, TracksThreadLocksets)
     EXPECT_TRUE(det.lockset(0).empty());
 }
 
+/*
+ * Barrier reset on hand-built traces. These pin what the §3.5
+ * flash-reset does to a granule, whether the reset is applied to the
+ * whole shadow at the barrier or to each granule at its next touch.
+ */
+
+constexpr Addr kX = 0x1000;
+constexpr LockAddr kL = 0x8000;
+
+TEST(IdealLocksetBarrier, ExclusiveOwnerIsForgottenAtTheBarrier)
+{
+    // T0 owns x (Exclusive) before the barrier; T1 touches it first
+    // after it. The barrier makes x Virgin, so T1 becomes its owner
+    // instead of starting a sharing phase with an empty candidate set.
+    IdealLocksetDetector det("ls", IdealLocksetConfig{});
+    HandTrace tr(det);
+    tr.write(0, kX, 1);
+    tr.write(0, kX, 1);
+    tr.barrier(2);
+    tr.write(1, kX, 2);
+    tr.read(1, kX, 2);
+    EXPECT_EQ(det.sink().dynamicCount(), 0u);
+    EXPECT_EQ(det.setSizeStats().candidateHist[0], 0u);
+
+    IdealLocksetConfig no_reset;
+    no_reset.barrierReset = false;
+    IdealLocksetDetector kept("ls.noreset", no_reset);
+    HandTrace tr2(kept);
+    tr2.write(0, kX, 1);
+    tr2.barrier(2);
+    tr2.write(1, kX, 2);
+    EXPECT_TRUE(reportedAt(kept.sink(), 2));
+}
+
+TEST(IdealLocksetBarrier, EmptyCandidateStartsFromUniverseAfterBarrier)
+{
+    IdealLocksetDetector det("ls", IdealLocksetConfig{});
+    HandTrace tr(det);
+    tr.write(0, kX, 1);
+    tr.write(1, kX, 2); // unlocked sharing: the candidate set is ∅
+    EXPECT_EQ(det.sink().dynamicCount(), 1u);
+    EXPECT_EQ(det.setSizeStats().candidateHist[0], 1u);
+
+    tr.barrier(2);
+    for (ThreadId t : {0u, 1u}) {
+        tr.lock(t, kL);
+        tr.write(t, kX, 3);
+        tr.unlock(t, kL);
+    }
+    // universe ∩ {L} = {L}: protected, silent.
+    EXPECT_EQ(det.sink().dynamicCount(), 1u);
+    EXPECT_EQ(det.setSizeStats().candidateHist[1], 1u);
+    EXPECT_EQ(det.setSizeStats().maxCandidate, 1u);
+    EXPECT_FALSE(reportedAt(det.sink(), 3));
+}
+
+TEST(IdealLocksetBarrier, TwoBarriersWithNoAccessBetween)
+{
+    IdealLocksetDetector det("ls", IdealLocksetConfig{});
+    HandTrace tr(det);
+    tr.write(0, kX, 1);
+    tr.write(1, kX, 2);
+    tr.write(0, kX + 4, 1);
+    tr.barrier(2);
+    tr.barrier(2);
+    // Both granules come back Virgin with a universe candidate set.
+    tr.write(1, kX, 3);
+    tr.write(1, kX + 4, 3);
+    for (ThreadId t : {0u, 1u}) {
+        tr.lock(t, kL);
+        tr.write(t, kX, 4);
+        tr.write(t, kX + 4, 4);
+        tr.unlock(t, kL);
+    }
+    EXPECT_EQ(det.sink().dynamicCount(), 1u);
+    EXPECT_EQ(det.setSizeStats().candidateHist[1], 4u);
+
+    // A third barrier still resets a granule last reset two ago.
+    tr.barrier(2);
+    tr.write(0, kX, 5);
+    tr.write(1, kX, 5);
+    EXPECT_TRUE(reportedAt(det.sink(), 5));
+    EXPECT_EQ(det.sink().dynamicCount(), 2u);
+}
+
 /**
  * Property (paper §3.2): the Bloom-filter candidate sets of HARD are
  * a superset approximation of the exact sets, so on the same trace an

@@ -191,5 +191,93 @@ TEST(RaceTrack, TracksHeldSetsByMode)
     EXPECT_TRUE(det.readLockset(0).empty());
 }
 
+/*
+ * Barrier reset on hand-built traces: the lockset side of a granule is
+ * flash-reset at a barrier (§3.5) while its access clocks survive.
+ * These pin the counts of the reset applied to the whole shadow at the
+ * barrier, so a reset applied per granule at its next touch must
+ * reproduce them.
+ */
+
+constexpr Addr kX = 0x1000;
+constexpr LockAddr kL = 0x8000;
+constexpr Addr kSema = 0x9000;
+
+TEST(RaceTrackBarrier, ExclusiveOwnerIsForgottenAtTheBarrier)
+{
+    RaceTrackDetector det("rt", rtCfg());
+    HandTrace tr(det);
+    tr.write(0, kX, 1);
+    tr.barrier(2);
+    tr.write(1, kX, 2);
+    tr.read(1, kX, 2);
+    EXPECT_EQ(det.sink().dynamicCount(), 0u);
+    EXPECT_EQ(det.suppressed(), 0u);
+}
+
+TEST(RaceTrackBarrier, EmptyCandidateStartsFromUniverseAfterBarrier)
+{
+    RaceTrackDetector det("rt", rtCfg());
+    HandTrace tr(det);
+    tr.write(0, kX, 1);
+    tr.write(1, kX, 2); // unordered, unlocked: reported
+    EXPECT_EQ(det.sink().dynamicCount(), 1u);
+
+    tr.barrier(2);
+    // Protected by L: universe ∩ {L} = {L}, no alarm.
+    tr.lock(0, kL);
+    tr.write(0, kX, 3);
+    tr.unlock(0, kL);
+    tr.lock(1, kL);
+    tr.write(1, kX, 3);
+    tr.unlock(1, kL);
+    EXPECT_EQ(det.sink().dynamicCount(), 1u);
+    EXPECT_EQ(det.suppressed(), 0u);
+}
+
+TEST(RaceTrackBarrier, TwoBarriersWithNoAccessBetween)
+{
+    RaceTrackDetector det("rt", rtCfg());
+    HandTrace tr(det);
+    tr.write(0, kX, 1);
+    tr.write(1, kX, 2);
+    tr.barrier(2);
+    tr.barrier(2);
+    tr.write(1, kX, 3); // first toucher after the barriers: owner
+    tr.write(1, kX, 3);
+    EXPECT_EQ(det.sink().dynamicCount(), 1u);
+    tr.write(0, kX, 4); // unordered after T1's write: reported
+    EXPECT_TRUE(reportedAt(det.sink(), 4));
+    EXPECT_EQ(det.sink().dynamicCount(), 2u);
+    EXPECT_EQ(det.suppressed(), 0u);
+}
+
+TEST(RaceTrackBarrier, AccessClocksSurviveTheBarrier)
+{
+    // T2's pre-barrier write stays in the granule's access clocks
+    // across the reset. The barrier orders it before every later
+    // access, so it neither raises nor blocks an alarm: T1's write
+    // after a semaphore hand-off from T0 is suppressed, T2's
+    // unordered write after it is reported against T0.
+    RaceTrackDetector det("rt", rtCfg());
+    HandTrace tr(det);
+    tr.write(2, kX, 1);
+    tr.write(0, kX, 2); // unordered after T2: reported
+    EXPECT_EQ(det.sink().dynamicCount(), 1u);
+
+    tr.barrier(3);
+    tr.write(0, kX, 3);
+    tr.post(0, kSema);
+    tr.wait(1, kSema);
+    tr.write(1, kX, 4); // ∅, but ordered after T0 and T2: suppressed
+    EXPECT_EQ(det.suppressed(), 1u);
+    EXPECT_FALSE(reportedAt(det.sink(), 4));
+    tr.write(2, kX, 5); // unordered after T0's and T1's writes
+    EXPECT_TRUE(reportedAt(det.sink(), 5));
+    EXPECT_EQ(det.sink().reports().back().other, 0u);
+    EXPECT_EQ(det.sink().dynamicCount(), 2u);
+    EXPECT_EQ(det.suppressed(), 1u);
+}
+
 } // namespace
 } // namespace hard
