@@ -7,26 +7,6 @@ namespace hard
 {
 
 const char *
-txnName(TxnType t)
-{
-    switch (t) {
-      case TxnType::BusRd:
-        return "BusRd";
-      case TxnType::BusRdX:
-        return "BusRdX";
-      case TxnType::BusUpgr:
-        return "BusUpgr";
-      case TxnType::Writeback:
-        return "Writeback";
-      case TxnType::MetaBroadcast:
-        return "MetaBroadcast";
-      case TxnType::MetaDirectory:
-        return "MetaDirectory";
-    }
-    return "?";
-}
-
-const char *
 accessSourceName(AccessSource s)
 {
     switch (s) {
@@ -50,7 +30,7 @@ MemorySystem::MemorySystem(const MemSysConfig &cfg)
                   "memsys: L1/L2 line sizes differ (%u vs %u)",
                   cfg_.l1.lineBytes, cfg_.l2.lineBytes);
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        l1s_.push_back(std::make_unique<SetAssocCache>(
+        l1s_.push_back(std::make_unique<PrivateL1>(
             "l1." + std::to_string(c), cfg_.l1));
     }
     l2_ = std::make_unique<SetAssocCache>("l2", cfg_.l2);
@@ -68,7 +48,7 @@ MemorySystem::sharerCount(Addr addr) const
 {
     unsigned n = 0;
     for (const auto &l1 : l1s_)
-        if (l1->findLine(addr) != nullptr)
+        if (l1->cache.findLine(addr) != nullptr)
             ++n;
     return n;
 }
@@ -79,8 +59,8 @@ MemorySystem::backInvalidate(Addr line, CoreId keep)
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
         if (c == keep)
             continue;
-        if (l1s_[c]->invalidate(line))
-            ++stats_.counter("backInvalidations");
+        if (l1s_[c]->cache.invalidate(line))
+            ++backInvalidations_;
     }
 }
 
@@ -89,7 +69,7 @@ MemorySystem::ensureInL2(Addr line, bool dirty, Cycle &completeAt, Cycle now)
 {
     CacheLine *l2line = l2_->findLine(line);
     if (l2line != nullptr) {
-        l2_->touch(line);
+        l2_->touch(*l2line);
         if (dirty)
             l2line->cstate = CState::Modified;
         return false;
@@ -101,7 +81,7 @@ MemorySystem::ensureInL2(Addr line, bool dirty, Cycle &completeAt, Cycle now)
     if (ev) {
         // Inclusive L2: displace any L1 copies of the victim.
         backInvalidate(ev->lineAddr, invalidCore);
-        ++stats_.counter("l2Evictions");
+        ++l2Evictions_;
         if (ev->dirty)
             bus_.transact(TxnType::Writeback, completeAt);
         if (tracer_ && tracer_->wants(kTraceMem)) {
@@ -119,7 +99,7 @@ MemorySystem::ensureInL2(Addr line, bool dirty, Cycle &completeAt, Cycle now)
 void
 MemorySystem::fillL1(CoreId core, Addr line, CState st, Cycle at)
 {
-    auto ev = l1s_[core]->insert(line, st);
+    auto ev = l1s_[core]->cache.insert(line, st);
     if (ev && ev->dirty) {
         // Dirty victim drains toward the L2 over the bus.
         bus_.transact(TxnType::Writeback, at);
@@ -142,21 +122,23 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
                   static_cast<unsigned long long>(addr), size, line_bytes);
 
     const Addr line = cfg_.l1.lineAddr(addr);
-    SetAssocCache &l1 = *l1s_[core];
+    PrivateL1 &l1 = *l1s_[core];
     AccessOutcome out;
-    ++stats_.counter(write ? "writes" : "reads");
+    ++(write ? writes_ : reads_);
 
-    CacheLine *mine = l1.findLine(line);
+    CacheLine *mine = l1.cache.findLine(line);
     if (mine != nullptr) {
-        l1.touch(line);
+        l1.cache.touch(*mine);
         if (!write) {
-            // Read hit in any valid state.
+            // Read hit in any valid state. An E or M copy is the only
+            // one (MESI's single-writer invariant), so only S counts.
             out.completeAt = now + cfg_.l1.hitLatency;
             out.l1Hit = true;
             out.source = AccessSource::L1;
             out.stateAfter = mine->cstate;
-            out.sharers = sharerCount(line);
-            ++l1.stats().counter("readHits");
+            out.sharers =
+                mine->cstate == CState::Shared ? sharerCount(line) : 1;
+            ++l1.readHits;
             return out;
         }
         if (canWrite(mine->cstate)) {
@@ -166,8 +148,8 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
             out.l1Hit = true;
             out.source = AccessSource::L1;
             out.stateAfter = CState::Modified;
-            out.sharers = sharerCount(line);
-            ++l1.stats().counter("writeHits");
+            out.sharers = 1;
+            ++l1.writeHits;
             return out;
         }
         // Write to a Shared line: BusUpgr invalidates other copies.
@@ -180,12 +162,12 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
         out.source = AccessSource::L1;
         out.stateAfter = CState::Modified;
         out.sharers = 1;
-        ++l1.stats().counter("upgrades");
+        ++l1.upgrades;
         return out;
     }
 
     // L1 miss: issue BusRd / BusRdX after the (wasted) L1 lookup.
-    ++l1.stats().counter(write ? "writeMisses" : "readMisses");
+    ++(write ? l1.writeMisses : l1.readMisses);
     Cycle done =
         bus_.transact(write ? TxnType::BusRdX : TxnType::BusRd,
                       now + cfg_.l1.hitLatency);
@@ -196,7 +178,7 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
         if (c == core)
             continue;
-        CacheLine *theirs = l1s_[c]->findLine(line);
+        CacheLine *theirs = l1s_[c]->cache.findLine(line);
         if (theirs == nullptr)
             continue;
         any_other = true;
@@ -208,26 +190,26 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
         // Cache-to-cache supply from the modified owner; the owner's
         // copy degrades to Shared (read) or Invalid (write), and the
         // L2 absorbs the dirty data.
-        CacheLine *theirs = l1s_[owner]->findLine(line);
+        CacheLine *theirs = l1s_[owner]->cache.findLine(line);
         CacheLine *l2line = l2_->findLine(line);
         hard_panic_if(l2line == nullptr,
                       "memsys: M line %llx missing from inclusive L2",
                       static_cast<unsigned long long>(line));
         l2line->cstate = CState::Modified;
         if (write) {
-            l1s_[owner]->invalidate(line);
+            l1s_[owner]->cache.invalidate(line);
         } else {
             theirs->cstate = CState::Shared;
         }
         out.source = AccessSource::OtherL1;
-        ++stats_.counter("cacheToCache");
+        ++cacheToCache_;
     } else {
         // Served by L2 (or memory beneath it).
         Cycle l2_done = done + cfg_.l2.hitLatency;
         bool l2_missed = ensureInL2(line, false, l2_done, done);
         if (l2_missed) {
             out.source = AccessSource::Memory;
-            ++stats_.counter("memFetches");
+            ++memFetches_;
         } else {
             out.source = AccessSource::L2;
         }
@@ -244,7 +226,7 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
         for (CoreId c = 0; c < cfg_.numCores; ++c) {
             if (c == core)
                 continue;
-            CacheLine *theirs = l1s_[c]->findLine(line);
+            CacheLine *theirs = l1s_[c]->cache.findLine(line);
             if (theirs != nullptr && theirs->cstate == CState::Exclusive)
                 theirs->cstate = CState::Shared;
         }

@@ -116,8 +116,12 @@ class MemorySystem
 
     Bus &bus() { return bus_; }
     const Bus &bus() const { return bus_; }
-    SetAssocCache &l1(CoreId core) { return *l1s_.at(core); }
-    const SetAssocCache &l1(CoreId core) const { return *l1s_.at(core); }
+    SetAssocCache &l1(CoreId core) { return l1s_.at(core)->cache; }
+    const SetAssocCache &
+    l1(CoreId core) const
+    {
+        return l1s_.at(core)->cache;
+    }
     SetAssocCache &l2() { return *l2_; }
     const SetAssocCache &l2() const { return *l2_; }
     const MemSysConfig &config() const { return cfg_; }
@@ -125,6 +129,25 @@ class MemorySystem
     const StatGroup &stats() const { return stats_; }
 
   private:
+    /**
+     * A private L1 and the per-access outcome counters the memory
+     * system keeps in that L1's stats group.
+     */
+    struct PrivateL1
+    {
+        PrivateL1(const std::string &name, const CacheConfig &cfg)
+            : cache(name, cfg)
+        {
+        }
+
+        SetAssocCache cache;
+        CounterHandle readHits{cache.stats(), "readHits"};
+        CounterHandle writeHits{cache.stats(), "writeHits"};
+        CounterHandle readMisses{cache.stats(), "readMisses"};
+        CounterHandle writeMisses{cache.stats(), "writeMisses"};
+        CounterHandle upgrades{cache.stats(), "upgrades"};
+    };
+
     /** Fill @p line into @p core's L1, handling the displaced victim. */
     void fillL1(CoreId core, Addr line, CState st, Cycle at);
 
@@ -137,9 +160,15 @@ class MemorySystem
     MemSysConfig cfg_;
     std::function<void(Addr)> onL2Evict_;
     Bus bus_;
-    std::vector<std::unique_ptr<SetAssocCache>> l1s_;
+    std::vector<std::unique_ptr<PrivateL1>> l1s_;
     std::unique_ptr<SetAssocCache> l2_;
     StatGroup stats_;
+    CounterHandle reads_{stats_, "reads"};
+    CounterHandle writes_{stats_, "writes"};
+    CounterHandle backInvalidations_{stats_, "backInvalidations"};
+    CounterHandle l2Evictions_{stats_, "l2Evictions"};
+    CounterHandle cacheToCache_{stats_, "cacheToCache"};
+    CounterHandle memFetches_{stats_, "memFetches"};
     EventTracer *tracer_ = nullptr;
 };
 

@@ -448,6 +448,54 @@ class StatGroup
     std::map<std::string, Formula> formulas_;
 };
 
+/**
+ * A named Counter in a StatGroup, for hot paths: the name is looked up
+ * on the handle's first increment and the Counter is reached by
+ * pointer after that. An untouched handle creates nothing, so a group
+ * dumps exactly the counters that were ever incremented, as with
+ * `++group.counter(name)`. The pointer stays valid because map nodes
+ * never move and StatGroup::reset() zeroes without erasing; the group
+ * itself must not move, so owners of handles are not copyable.
+ */
+class CounterHandle
+{
+  public:
+    CounterHandle(StatGroup &group, std::string stat)
+        : group_(&group), stat_(std::move(stat))
+    {
+    }
+
+    CounterHandle(const CounterHandle &) = delete;
+    CounterHandle &operator=(const CounterHandle &) = delete;
+
+    CounterHandle &
+    operator++()
+    {
+        ++get();
+        return *this;
+    }
+
+    CounterHandle &
+    operator+=(std::uint64_t v)
+    {
+        get() += v;
+        return *this;
+    }
+
+  private:
+    Counter &
+    get()
+    {
+        if (counter_ == nullptr) [[unlikely]]
+            counter_ = &group_->counter(stat_);
+        return *counter_;
+    }
+
+    Counter *counter_ = nullptr;
+    StatGroup *group_ = nullptr;
+    std::string stat_;
+};
+
 } // namespace hard
 
 #endif // HARD_COMMON_STATS_HH

@@ -40,9 +40,8 @@ class MetaCache
      * infinite-L2 configuration); @p geom then only defines lineBytes.
      */
     MetaCache(const CacheConfig &geom, bool unbounded)
-        : geom_(geom), unbounded_(unbounded)
+        : geom_(geom), index_(geom, "metaCache"), unbounded_(unbounded)
     {
-        geom_.validate("metaCache");
         if (!unbounded_)
             ways_.resize(geom_.numSets() * geom_.assoc);
     }
@@ -61,7 +60,7 @@ class MetaCache
     {
         if (evicted != nullptr)
             *evicted = invalidAddr;
-        const Addr line = geom_.lineAddr(addr);
+        const Addr line = index_.lineAddr(addr);
         ++lookups_;
         if (unbounded_) {
             auto [it, inserted] = map_.try_emplace(line);
@@ -107,7 +106,7 @@ class MetaCache
     LineData *
     find(Addr addr)
     {
-        const Addr line = geom_.lineAddr(addr);
+        const Addr line = index_.lineAddr(addr);
         if (unbounded_) {
             auto it = map_.find(line);
             return it == map_.end() ? nullptr : &it->second;
@@ -127,7 +126,7 @@ class MetaCache
     bool
     erase(Addr addr)
     {
-        const Addr line = geom_.lineAddr(addr);
+        const Addr line = index_.lineAddr(addr);
         if (unbounded_) {
             if (map_.erase(line) == 0)
                 return false;
@@ -197,11 +196,12 @@ class MetaCache
     std::pair<std::size_t, std::size_t>
     setRange(Addr line) const
     {
-        std::size_t first = geom_.setIndex(line) * geom_.assoc;
+        std::size_t first = index_.setIndex(line) * geom_.assoc;
         return {first, first + geom_.assoc};
     }
 
     CacheConfig geom_;
+    CacheIndex index_;
     bool unbounded_;
     std::vector<Way> ways_;
     std::unordered_map<Addr, LineData> map_;

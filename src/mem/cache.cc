@@ -1,37 +1,28 @@
 #include "mem/cache.hh"
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace hard
 {
 
 SetAssocCache::SetAssocCache(const std::string &name, const CacheConfig &cfg)
-    : cfg_(cfg), stats_(name)
+    : cfg_(cfg), index_(cfg, name.c_str()),
+      lines_(cfg.numSets() * cfg.assoc), stats_(name)
 {
-    cfg_.validate(name.c_str());
-    lines_.resize(cfg_.numSets() * cfg_.assoc);
 }
 
 std::pair<std::size_t, std::size_t>
 SetAssocCache::setRange(Addr addr) const
 {
-    std::size_t first = cfg_.setIndex(addr) * cfg_.assoc;
+    std::size_t first = index_.setIndex(addr) * cfg_.assoc;
     return {first, first + cfg_.assoc};
-}
-
-Addr
-SetAssocCache::lineAddrOf(std::uint64_t tag, std::uint64_t set) const
-{
-    std::uint64_t line_no = (tag << floorLog2(cfg_.numSets())) | set;
-    return line_no * cfg_.lineBytes;
 }
 
 CacheLine *
 SetAssocCache::findLine(Addr addr)
 {
     auto [first, last] = setRange(addr);
-    std::uint64_t tag = cfg_.tag(addr);
+    std::uint64_t tag = index_.tag(addr);
     for (std::size_t i = first; i < last; ++i) {
         if (lines_[i].valid() && lines_[i].tag == tag)
             return &lines_[i];
@@ -72,18 +63,18 @@ SetAssocCache::insert(Addr addr, CState st)
     if (!found_invalid) {
         Eviction ev;
         ev.lineAddr =
-            lineAddrOf(lines_[victim].tag, cfg_.setIndex(addr));
+            index_.lineAddrOf(lines_[victim].tag, index_.setIndex(addr));
         ev.dirty = lines_[victim].dirty();
         evicted = ev;
-        ++stats_.counter("evictions");
+        ++evictions_;
         if (ev.dirty)
-            ++stats_.counter("writebacks");
+            ++writebacks_;
     }
 
-    lines_[victim].tag = cfg_.tag(addr);
+    lines_[victim].tag = index_.tag(addr);
     lines_[victim].cstate = st;
     lines_[victim].lastUse = ++useClock_;
-    ++stats_.counter("fills");
+    ++fills_;
     return evicted;
 }
 
@@ -94,7 +85,7 @@ SetAssocCache::touch(Addr addr)
     hard_panic_if(line == nullptr, "%s: touch of absent line %llx",
                   stats_.name().c_str(),
                   static_cast<unsigned long long>(addr));
-    line->lastUse = ++useClock_;
+    touch(*line);
 }
 
 bool
@@ -104,7 +95,7 @@ SetAssocCache::invalidate(Addr addr)
     if (line == nullptr)
         return false;
     line->cstate = CState::Invalid;
-    ++stats_.counter("invalidations");
+    ++invalidations_;
     return true;
 }
 
@@ -143,7 +134,7 @@ SetAssocCache::forEachLine(
         if (!lines_[i].valid())
             continue;
         std::uint64_t set = i / cfg_.assoc;
-        cb(lineAddrOf(lines_[i].tag, set), lines_[i]);
+        cb(index_.lineAddrOf(lines_[i].tag, set), lines_[i]);
     }
 }
 

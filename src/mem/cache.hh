@@ -72,6 +72,9 @@ class SetAssocCache
     /** Mark the line holding @p addr as most recently used. */
     void touch(Addr addr);
 
+    /** Mark @p line (found by findLine()) as most recently used. */
+    void touch(CacheLine &line) { line.lastUse = ++useClock_; }
+
     /** Drop the line holding @p addr, if present. @return it was held. */
     bool invalidate(Addr addr);
 
@@ -102,13 +105,15 @@ class SetAssocCache
     /** @return [first,last) way index range of @p addr's set. */
     std::pair<std::size_t, std::size_t> setRange(Addr addr) const;
 
-    /** Rebuild a line address from a tag + the set it occupies. */
-    Addr lineAddrOf(std::uint64_t tag, std::uint64_t set) const;
-
     CacheConfig cfg_;
+    CacheIndex index_;
     std::vector<CacheLine> lines_;
     std::uint64_t useClock_ = 0;
     StatGroup stats_;
+    CounterHandle evictions_{stats_, "evictions"};
+    CounterHandle writebacks_{stats_, "writebacks"};
+    CounterHandle fills_{stats_, "fills"};
+    CounterHandle invalidations_{stats_, "invalidations"};
 };
 
 } // namespace hard

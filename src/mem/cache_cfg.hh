@@ -71,6 +71,52 @@ struct CacheConfig
     }
 };
 
+/**
+ * The address split of a CacheConfig as shifts and masks, computed
+ * once: the per-lookup form of CacheConfig's lineAddr(), setIndex()
+ * and tag(), which stay as the reference.
+ */
+class CacheIndex
+{
+  public:
+    /** Validates @p cfg first (ConfigError names @p what). */
+    CacheIndex(const CacheConfig &cfg, const char *what)
+        : offsetBits_((cfg.validate(what), floorLog2(cfg.lineBytes))),
+          tagShift_(offsetBits_ + floorLog2(cfg.numSets())),
+          setMask_(cfg.numSets() - 1)
+    {
+    }
+
+    /** @return the line-aligned base address containing @p a. */
+    Addr
+    lineAddr(Addr a) const
+    {
+        return a & ~((Addr{1} << offsetBits_) - 1);
+    }
+
+    /** @return the set index for @p a. */
+    std::uint64_t
+    setIndex(Addr a) const
+    {
+        return (a >> offsetBits_) & setMask_;
+    }
+
+    /** @return the tag for @p a. */
+    std::uint64_t tag(Addr a) const { return a >> tagShift_; }
+
+    /** @return the line address with tag @p tag in set @p set. */
+    Addr
+    lineAddrOf(std::uint64_t tag, std::uint64_t set) const
+    {
+        return (tag << tagShift_) | (set << offsetBits_);
+    }
+
+  private:
+    unsigned offsetBits_;
+    unsigned tagShift_;
+    std::uint64_t setMask_;
+};
+
 } // namespace hard
 
 #endif // HARD_MEM_CACHE_CFG_HH

@@ -1,12 +1,17 @@
 /**
  * @file
- * Unit and property tests for the snoopy MESI memory system.
+ * Unit and property tests for the snoopy MESI memory system, the bus's
+ * per-transaction counters and the shift/mask cache index.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "coherence/memsys.hh"
 #include "common/rng.hh"
+#include "core/hard_detector.hh"
 
 namespace hard
 {
@@ -204,27 +209,76 @@ TEST(MemSysMsi, MsiCostsMoreUpgradeTrafficThanMesi)
     EXPECT_EQ(run(CoherenceProtocol::MSI), 64u);
 }
 
-/**
- * MESI invariant property test: under random traffic, (a) at most one
- * M/E copy exists and it excludes any other copies, (b) the requester
- * always ends with a usable copy, (c) inclusivity holds.
- */
-class MesiProperty : public ::testing::TestWithParam<std::uint64_t>
+TEST(Bus, EachTxnTypeBumpsExactlyItsOwnCounter)
 {
-};
+    const BusConfig cfg;
+    Bus bus(cfg);
+    auto counters = [&bus] {
+        std::map<std::string, std::uint64_t> m;
+        for (const auto &[name, value] : bus.stats().dump())
+            m[name] = value;
+        return m;
+    };
+    for (std::size_t i = 0; i < kNumTxnTypes; ++i) {
+        const TxnType t = static_cast<TxnType>(i);
+        const bool data = t == TxnType::BusRd || t == TxnType::BusRdX ||
+            t == TxnType::Writeback;
+        const bool meta =
+            t == TxnType::MetaBroadcast || t == TxnType::MetaDirectory;
+        std::map<std::string, std::uint64_t> want = counters();
+        ++want[std::string("bus.txn.") + txnName(t)];
+        want["bus.busyCycles"] += cfg.occupancy(t);
+        if (data)
+            want["bus.dataBytes"] += cfg.lineBytes;
+        if (meta)
+            want["bus.metaBytes"] += 3;
+        bus.transact(t, 0);
+        EXPECT_EQ(counters(), want) << txnName(t);
+    }
+    EXPECT_EQ(counters().size(), kNumTxnTypes + 3);
+}
 
-TEST_P(MesiProperty, InvariantsHoldUnderRandomTraffic)
+TEST(CacheIndex, AgreesWithCacheConfigOnRandomAddresses)
 {
-    MemSysConfig cfg = smallSys();
-    if (GetParam() % 2 == 0)
-        cfg.protocol = CoherenceProtocol::MSI;
+    const CacheConfig geoms[] = {
+        MemSysConfig{}.l1,
+        MemSysConfig{}.l2,
+        HardConfig{}.metaGeometry,
+        CacheConfig{3 * 64 * 32, 3, 32, 1}, // 3 ways, 64 sets
+    };
+    Rng rng(2024);
+    for (const CacheConfig &g : geoms) {
+        const CacheIndex idx(g, "test");
+        for (int i = 0; i < 20000; ++i) {
+            // Full 64-bit addresses, then small ones near zero.
+            const Addr a = i % 2 ? rng.next64() : rng.below(1u << 24);
+            ASSERT_EQ(idx.lineAddr(a), g.lineAddr(a));
+            ASSERT_EQ(idx.setIndex(a), g.setIndex(a));
+            ASSERT_EQ(idx.tag(a), g.tag(a));
+            ASSERT_EQ(idx.lineAddrOf(g.tag(a), g.setIndex(a)),
+                      g.lineAddr(a));
+        }
+    }
+}
+
+/**
+ * MESI invariant property check: under random traffic, (a) at most one
+ * M/E copy exists and it excludes any other copies, (b) the requester
+ * always ends with a usable copy, (c) inclusivity holds, (d) the
+ * reported sharer count equals a brute-force count of holders, and an
+ * E/M outcome reports exactly one.
+ */
+void
+checkMesiInvariants(const MemSysConfig &cfg, std::uint64_t seed,
+                    std::uint64_t hot_lines)
+{
     MemorySystem m(cfg);
-    Rng rng(GetParam());
+    Rng rng(seed);
     Cycle now = 0;
 
     for (int i = 0; i < 5000; ++i) {
         CoreId core = static_cast<CoreId>(rng.below(cfg.numCores));
-        Addr line = rng.below(64) * 32; // 64 hot lines
+        Addr line = rng.below(hot_lines) * 32;
         bool write = rng.chance(0.4);
         AccessOutcome out = m.access(core, line + rng.below(4) * 8, 8,
                                      write, now);
@@ -254,11 +308,52 @@ TEST_P(MesiProperty, InvariantsHoldUnderRandomTraffic)
                 ASSERT_NE(m.l2().findLine(line), nullptr);
             }
         }
+
+        // (d) the reported sharer count against the brute-force one.
+        ASSERT_EQ(out.sharers, holders) << "access " << i;
+        if (out.stateAfter == CState::Exclusive ||
+            out.stateAfter == CState::Modified) {
+            ASSERT_EQ(out.sharers, 1u) << "access " << i;
+        }
     }
+}
+
+class MesiProperty : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(MesiProperty, InvariantsHoldUnderRandomTraffic)
+{
+    MemSysConfig cfg = smallSys();
+    if (GetParam() % 2 == 0)
+        cfg.protocol = CoherenceProtocol::MSI;
+    checkMesiInvariants(cfg, GetParam(), 64);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MesiProperty,
                          ::testing::Values(1u, 2u, 3u, 17u, 99u));
+
+/**
+ * The same check on eight cores, over 64 hot lines and then over 320:
+ * more than the small L2's 256, so inclusive L2 evictions
+ * back-invalidate L1 copies.
+ */
+class MesiProperty8Core : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(MesiProperty8Core, InvariantsHoldUnderRandomTraffic)
+{
+    MemSysConfig cfg = smallSys();
+    cfg.numCores = 8;
+    if (GetParam() % 2 == 0)
+        cfg.protocol = CoherenceProtocol::MSI;
+    checkMesiInvariants(cfg, GetParam(), 64);
+    checkMesiInvariants(cfg, GetParam(), 320);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MesiProperty8Core,
+                         ::testing::Values(4u, 5u, 40u, 41u));
 
 } // namespace
 } // namespace hard

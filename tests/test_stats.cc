@@ -3,9 +3,10 @@
  * Tests for the stats v2 framework: histogram bucket-edge behaviour
  * (zero, log2 boundaries, max-u64, linear clamping), distribution
  * moments, zero-denominator formulas, cross-kind name collisions,
- * group reset, sorted dumps, the hierarchical StatRegistry (duplicate
- * group names, dotted-path lookup, schema tag), statFromJson, the
- * pluggable warn()/inform() log sink, and intervalsPathFor.
+ * group reset, sorted dumps, first-increment CounterHandle binding,
+ * the hierarchical StatRegistry (duplicate group names, dotted-path
+ * lookup, schema tag), statFromJson, the pluggable warn()/inform() log
+ * sink, and intervalsPathFor.
  */
 
 #include <gtest/gtest.h>
@@ -169,6 +170,29 @@ TEST(StatGroup, JsonOmitsEmptySections)
     StatGroup g("g");
     g.counter("n").set(4);
     EXPECT_EQ(g.toJson().dump(), "{\"counters\":{\"n\":4}}");
+}
+
+TEST(CounterHandle, CreatesItsCounterOnFirstIncrementOnly)
+{
+    StatGroup g("g");
+    CounterHandle untouched(g, "never");
+    CounterHandle hits(g, "hits");
+    CounterHandle bytes(g, "bytes");
+    // An untouched handle leaves no key behind.
+    EXPECT_FALSE(g.has("never"));
+    EXPECT_EQ(g.toJson().dump(), "{}");
+
+    ++hits;
+    bytes += 0; // adding zero still creates the key, as counter() does
+    EXPECT_EQ(g.toJson().dump(),
+              "{\"counters\":{\"bytes\":0,\"hits\":1}}");
+
+    // After reset() the handle still drives the group's counter.
+    g.reset();
+    ++hits;
+    ++g.counter("hits");
+    EXPECT_EQ(g.value("hits"), 2u);
+    EXPECT_FALSE(g.has("never"));
 }
 
 TEST(StatRegistry, DuplicateGroupNamePanics)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hard_detector.hh"
 #include "sim/system.hh"
 #include "throw_test_util.hh"
 
@@ -491,6 +492,105 @@ TEST(System, HardTimingAddsLatency)
     timed.hardTiming.sharedAccessExtraCycles = 5;
     System s1(base, p1), s2(timed, p2);
     EXPECT_GT(s2.run().totalCycles, s1.run().totalCycles);
+}
+
+/**
+ * Golden machine statistics for one fixed four-thread program with HARD
+ * timing, directory mode and a bus-attached HardDetector, so both
+ * metadata transaction kinds reach the bus. Small caches force L1 and
+ * L2 evictions, writebacks and back-invalidations. A counter exists
+ * only once it has been incremented: the L2 is never invalidated, so
+ * it has no "invalidations" key. Every name and count here must stay
+ * as it is.
+ */
+TEST(System, StatsDumpGoldenWithHardTimingAndDirectory)
+{
+    Program p = makeProgram(4);
+    const LockAddr locks[2] = {0x900, 0x940};
+    for (unsigned t = 0; t < 4; ++t) {
+        auto &ops = p.threads[t].ops;
+        for (unsigned i = 0; i < 60; ++i) {
+            if (i == 30)
+                ops.push_back(opBarrier(0x980, 9));
+            ops.push_back(opRead(0x2000 + ((i * 3 + t) % 16) * 32 + 4, 4,
+                                 10));
+            if (i % 3 == 0) {
+                ops.push_back(opLock(locks[t % 2], 11));
+                ops.push_back(opWrite(0x2000 + ((i + t) % 16) * 32, 8, 12));
+                ops.push_back(opUnlock(locks[t % 2], 13));
+            }
+            ops.push_back(
+                opWrite(0x10000 + t * 0x1000 + (i * 40) % 0x800, 8, 14));
+            ops.push_back(opCompute(7));
+        }
+    }
+    SimConfig cfg;
+    cfg.memsys.l1 = CacheConfig{1024, 2, 32, 3};
+    cfg.memsys.l2 = CacheConfig{4096, 4, 32, 10};
+    cfg.hardTiming.enabled = true;
+    cfg.hardTiming.directoryMode = true;
+    System sys(cfg, p);
+    HardDetector hard("hard", HardConfig{}, &sys.memsys().bus());
+    sys.addObserver(&hard);
+    sys.run();
+
+    const std::vector<std::pair<std::string, std::uint64_t>> golden = {
+        {"memsys.backInvalidations", 262},
+        {"memsys.cacheToCache", 155},
+        {"memsys.l2Evictions", 159},
+        {"memsys.memFetches", 287},
+        {"memsys.reads", 275},
+        {"memsys.writes", 484},
+        {"bus.busyCycles", 8531},
+        {"bus.dataBytes", 24960},
+        {"bus.metaBytes", 1233},
+        {"bus.txn.BusRd", 218},
+        {"bus.txn.BusRdX", 350},
+        {"bus.txn.BusUpgr", 59},
+        {"bus.txn.MetaBroadcast", 27},
+        {"bus.txn.MetaDirectory", 384},
+        {"bus.txn.Writeback", 212},
+        {"l1.0.evictions", 25},
+        {"l1.0.fills", 146},
+        {"l1.0.invalidations", 96},
+        {"l1.0.readHits", 12},
+        {"l1.0.readMisses", 49},
+        {"l1.0.upgrades", 12},
+        {"l1.0.writeHits", 12},
+        {"l1.0.writeMisses", 97},
+        {"l1.0.writebacks", 23},
+        {"l1.1.evictions", 33},
+        {"l1.1.fills", 132},
+        {"l1.1.invalidations", 80},
+        {"l1.1.readHits", 14},
+        {"l1.1.readMisses", 48},
+        {"l1.1.upgrades", 17},
+        {"l1.1.writeHits", 20},
+        {"l1.1.writeMisses", 84},
+        {"l1.1.writebacks", 32},
+        {"l1.2.evictions", 35},
+        {"l1.2.fills", 143},
+        {"l1.2.invalidations", 81},
+        {"l1.2.readHits", 22},
+        {"l1.2.readMisses", 58},
+        {"l1.2.upgrades", 14},
+        {"l1.2.writeHits", 22},
+        {"l1.2.writeMisses", 85},
+        {"l1.2.writebacks", 35},
+        {"l1.3.evictions", 30},
+        {"l1.3.fills", 147},
+        {"l1.3.invalidations", 87},
+        {"l1.3.readHits", 9},
+        {"l1.3.readMisses", 63},
+        {"l1.3.upgrades", 16},
+        {"l1.3.writeHits", 21},
+        {"l1.3.writeMisses", 84},
+        {"l1.3.writebacks", 28},
+        {"l2.evictions", 159},
+        {"l2.fills", 287},
+        {"l2.writebacks", 94},
+    };
+    EXPECT_EQ(sys.statsDump(), golden);
 }
 
 } // namespace
