@@ -17,16 +17,10 @@ HardDetector::HardDetector(const std::string &name, const HardConfig &cfg,
     : RaceDetector(name),
       cfg_(cfg),
       bus_(bus),
-      meta_(cfg.metaGeometry, cfg.unbounded || cfg.coupleToCaches)
+      meta_(cfg.metaGeometry, cfg.unbounded || cfg.coupleToCaches,
+            metaGranulesPerLine("hard", cfg.metaGeometry,
+                                cfg.granularityBytes))
 {
-    const unsigned line = cfg_.metaGeometry.lineBytes;
-    hard_fatal_if(cfg_.granularityBytes == 0 ||
-                      cfg_.granularityBytes > line ||
-                      line % cfg_.granularityBytes != 0,
-                  "hard: granularity %u does not divide line size %u",
-                  cfg_.granularityBytes, line);
-    hard_fatal_if(line / cfg_.granularityBytes > 8,
-                  "hard: more than 8 granules per line unsupported");
     lockRegs_.fill(LockRegister(cfg_.bloomBits, cfg_.counterBits));
     coreRegs_.fill(LockRegister(cfg_.bloomBits, cfg_.counterBits));
     stats().formula("metaHitRate", [this] {
@@ -87,10 +81,11 @@ HardDetector::syncStats()
     const std::uint32_t mask = cfg_.bloomBits < 32
         ? (std::uint32_t{1} << cfg_.bloomBits) - 1
         : ~std::uint32_t{0};
-    meta_.forEach([&occ, mask](Addr, Line &line) {
-        for (const Granule &gr : line.g) {
-            if (gr.state != LState::Virgin)
-                occ.sample(std::popcount(gr.bf & mask));
+    const unsigned n = meta_.granulesPerLine();
+    meta_.forEach([&occ, mask, n](Addr, const Granule *line) {
+        for (unsigned k = 0; k < n; ++k) {
+            if (line[k].state != LState::Virgin)
+                occ.sample(std::popcount(line[k].bf & mask));
         }
     });
 }
@@ -135,22 +130,21 @@ HardDetector::lockRegister(ThreadId tid) const
 std::optional<LState>
 HardDetector::lstateOf(Addr addr)
 {
-    Line *line = meta_.find(addr);
+    const Granule *line = meta_.find(addr);
     if (line == nullptr)
         return std::nullopt;
     const Addr base = cfg_.metaGeometry.lineAddr(addr);
-    return line->g[(addr - base) / cfg_.granularityBytes].state;
+    return line[(addr - base) / cfg_.granularityBytes].state;
 }
 
 std::optional<std::uint32_t>
 HardDetector::bfOf(Addr addr)
 {
-    Line *line = meta_.find(addr);
+    const Granule *line = meta_.find(addr);
     if (line == nullptr)
         return std::nullopt;
     const Addr base = cfg_.metaGeometry.lineAddr(addr);
-    std::uint32_t raw =
-        line->g[(addr - base) / cfg_.granularityBytes].bf;
+    std::uint32_t raw = line[(addr - base) / cfg_.granularityBytes].bf;
     // Mask to the configured width for presentation.
     if (cfg_.bloomBits < 32)
         raw &= (std::uint32_t{1} << cfg_.bloomBits) - 1;
@@ -166,14 +160,18 @@ HardDetector::access(const MemEvent &ev, bool write)
     std::uint64_t evictions_before = meta_.evictions();
     bool fresh = false;
     Addr victim = invalidAddr;
-    Line &line =
+    Granule *line =
         meta_.lookup(ev.addr, fresh, prov_ ? &victim : nullptr);
     stats_.metadataEvictions += meta_.evictions() - evictions_before;
 
     const unsigned gran = cfg_.granularityBytes;
+    const int shift = std::countr_zero(gran);
     const Addr line_base = cfg_.metaGeometry.lineAddr(ev.addr);
     const Addr lo = alignDown(ev.addr, gran);
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
+    hard_panic_if(hi > line_base + cfg_.metaGeometry.lineBytes,
+                  "hard: access %llx+%u crosses a metadata line",
+                  static_cast<unsigned long long>(ev.addr), ev.size);
     const std::uint32_t lockset =
         regFor(ev.tid, ev.core).vector().raw();
 
@@ -192,7 +190,7 @@ HardDetector::access(const MemEvent &ev, bool write)
     std::array<std::pair<Addr, std::uint32_t>, 8> bcast;
     std::size_t n_bcast = 0;
     for (Addr a = lo; a < hi; a += gran) {
-        Granule &g = line.g[(a - line_base) / gran];
+        Granule &g = line[(a - line_base) >> shift];
         if (prov_)
             prov_->noteAccess(a, ev.tid, ev.at);
         const LState state_before = g.state;
@@ -280,14 +278,9 @@ HardDetector::onBarrier(const BarrierEvent &ev)
     // so both the lock evidence and the sharing history must go —
     // resetting only the BFVectors would leave the Figure 7 pattern
     // (cross-barrier hand-off with no locks) reported via the
-    // persisting SharedModified state.
-    meta_.forEach([](Addr, Line &line) {
-        for (Granule &g : line.g) {
-            g.bf = 0xffffffffu;
-            g.state = LState::Virgin;
-            g.owner = invalidThread;
-        }
-    });
+    // persisting SharedModified state. The reset is lazy: each
+    // resident line is reset when next reached (MetaCache epochs).
+    meta_.onBarrier();
     ++stats_.barrierResets;
     if (prov_)
         prov_->recordFlashReset(ev.at, ev.episode);

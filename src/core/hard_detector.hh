@@ -180,12 +180,9 @@ class HardDetector : public RaceDetector
         std::uint32_t bf = 0xffffffffu;
         LState state = LState::Virgin;
         ThreadId owner = invalidThread;
-    };
 
-    /** One metadata line (up to 8 granules of >= 4 bytes in 32B). */
-    struct Line
-    {
-        std::array<Granule, 8> g{};
+        /** §3.5 flash-reset: back to the fresh state. */
+        void barrierReset() { *this = Granule{}; }
     };
 
     void access(const MemEvent &ev, bool write);
@@ -196,7 +193,7 @@ class HardDetector : public RaceDetector
 
     HardConfig cfg_;
     Bus *bus_;
-    MetaCache<Line> meta_;
+    MetaCache<Granule> meta_;
     /** Per-thread registers (also the OS save area in per-core mode). */
     std::array<LockRegister, kMaxThreads> lockRegs_;
     /** The physical per-processor registers (per-core mode). */

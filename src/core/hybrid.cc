@@ -1,5 +1,7 @@
 #include "core/hybrid.hh"
 
+#include <bit>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -10,16 +12,10 @@ HybridDetector::HybridDetector(const std::string &name,
                                const HardConfig &cfg)
     : ClockedDetector(name),
       cfg_(cfg),
-      meta_(cfg.metaGeometry, cfg.unbounded)
+      meta_(cfg.metaGeometry, cfg.unbounded,
+            metaGranulesPerLine("hybrid", cfg.metaGeometry,
+                                cfg.granularityBytes))
 {
-    const unsigned line = cfg_.metaGeometry.lineBytes;
-    hard_fatal_if(cfg_.granularityBytes == 0 ||
-                      cfg_.granularityBytes > line ||
-                      line % cfg_.granularityBytes != 0,
-                  "hybrid: granularity %u does not divide line size %u",
-                  cfg_.granularityBytes, line);
-    hard_fatal_if(line / cfg_.granularityBytes > 8,
-                  "hybrid: more than 8 granules per line unsupported");
     lockRegs_.fill(LockRegister(cfg_.bloomBits, cfg_.counterBits));
 }
 
@@ -28,16 +24,20 @@ HybridDetector::access(const MemEvent &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     bool fresh = false;
-    Line &line = meta_.lookup(ev.addr, fresh);
+    Granule *line = meta_.lookup(ev.addr, fresh);
 
     const unsigned gran = cfg_.granularityBytes;
+    const int shift = std::countr_zero(gran);
     const Addr line_base = cfg_.metaGeometry.lineAddr(ev.addr);
     const Addr lo = alignDown(ev.addr, gran);
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
+    hard_panic_if(hi > line_base + cfg_.metaGeometry.lineBytes,
+                  "hybrid: access %llx+%u crosses a metadata line",
+                  static_cast<unsigned long long>(ev.addr), ev.size);
     const std::uint32_t lockset = lockRegs_[ev.tid].vector().raw();
 
     for (Addr a = lo; a < hi; a += gran) {
-        Granule &g = line.g[(a - line_base) / gran];
+        Granule &g = line[(a - line_base) >> shift];
         LStateStep step = lstateAccess(g.state, g.owner, ev.tid, write);
         g.state = step.next;
         g.owner = step.owner;
@@ -99,15 +99,8 @@ HybridDetector::onLockRelease(const SyncEvent &ev)
 void
 HybridDetector::onBarrier(const BarrierEvent &ev)
 {
-    if (cfg_.barrierReset) {
-        meta_.forEach([](Addr, Line &line) {
-            for (Granule &g : line.g) {
-                g.bf = 0xffffffffu;
-                g.state = LState::Virgin;
-                g.owner = invalidThread;
-            }
-        });
-    }
+    if (cfg_.barrierReset)
+        meta_.onBarrier();
     // Barrier = non-lock synchronization: join and advance the
     // non-lock vector clocks.
     ClockedDetector::onBarrier(ev);

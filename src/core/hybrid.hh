@@ -86,17 +86,22 @@ class HybridDetector : public ClockedDetector
          * hybrid needs.
          */
         VClock accessClk{};
-    };
 
-    struct Line
-    {
-        std::array<Granule, 8> g{};
+        /** §3.5 flash-reset of the lockset side; the access clocks
+         * survive (the barrier edge orders them). */
+        void
+        barrierReset()
+        {
+            bf = 0xffffffffu;
+            state = LState::Virgin;
+            owner = invalidThread;
+        }
     };
 
     void access(const MemEvent &ev, bool write);
 
     HardConfig cfg_;
-    MetaCache<Line> meta_;
+    MetaCache<Granule> meta_;
     std::array<LockRegister, kMaxThreads> lockRegs_;
     std::uint64_t pruned_ = 0;
 };

@@ -8,10 +8,10 @@ namespace hard
 
 DjitPlusDetector::DjitPlusDetector(const std::string &name,
                                    unsigned granularity_bytes)
-    : ClockedDetector(name), gran_(granularity_bytes)
+    : ClockedDetector(name),
+      gran_(checkedGranularity("djit+", granularity_bytes)),
+      shadow_(gran_)
 {
-    hard_fatal_if(gran_ == 0 || !isPowerOf2(gran_),
-                  "djit+: bad granularity %u", gran_);
 }
 
 void
@@ -22,7 +22,11 @@ DjitPlusDetector::access(const MemEvent &ev, bool write)
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
 
     for (Addr a = lo; a < hi; a += gran_) {
-        Shadow &g = shadow_[a];
+        Shadow &g = shadow_.at(a);
+        if (!g.tracked) {
+            g.tracked = true;
+            ++tracked_;
+        }
 
         // A race with *any* unordered prior write, not just the
         // latest one — the full vector remembers writes an epoch

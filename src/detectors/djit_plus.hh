@@ -24,8 +24,7 @@
 #ifndef HARD_DETECTORS_DJIT_PLUS_HH
 #define HARD_DETECTORS_DJIT_PLUS_HH
 
-#include <unordered_map>
-
+#include "detectors/lockset_core.hh"
 #include "detectors/sync_order.hh"
 
 namespace hard
@@ -52,8 +51,8 @@ class DjitPlusDetector : public ClockedDetector
      */
     std::uint64_t nonLatestWriteRaces() const { return nonLatest_; }
 
-    /** @return granules with shadow state allocated. */
-    std::size_t granulesTracked() const { return shadow_.size(); }
+    /** @return granules any access has touched. */
+    std::size_t granulesTracked() const { return tracked_; }
 
   private:
     /** Shadow state of one granule: full write and read vectors. */
@@ -65,12 +64,19 @@ class DjitPlusDetector : public ClockedDetector
         VClock readClk;
         /** Thread of the most recent write (for nonLatest_ stats). */
         ThreadId lastWriter = invalidThread;
+        /** Touched by an access (counted in tracked_). */
+        bool tracked = false;
+
+        /** Unused: the shadow never sees a barrier (the barrier's
+         * clock join orders the history instead). */
+        void barrierReset() {}
     };
 
     void access(const MemEvent &ev, bool write);
 
     unsigned gran_;
-    std::unordered_map<Addr, Shadow> shadow_;
+    ShadowMemory<Shadow> shadow_;
+    std::size_t tracked_ = 0;
     std::uint64_t nonLatest_ = 0;
 };
 

@@ -8,10 +8,10 @@ namespace hard
 
 FastTrackDetector::FastTrackDetector(const std::string &name,
                                      unsigned granularity_bytes)
-    : ClockedDetector(name), gran_(granularity_bytes)
+    : ClockedDetector(name),
+      gran_(checkedGranularity("fasttrack", granularity_bytes)),
+      shadow_(gran_)
 {
-    hard_fatal_if(gran_ == 0 || !isPowerOf2(gran_),
-                  "fasttrack: bad granularity %u", gran_);
 }
 
 void
@@ -22,7 +22,7 @@ FastTrackDetector::access(const MemEvent &ev, bool write)
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
 
     for (Addr a = lo; a < hi; a += gran_) {
-        Shadow &s = shadow_[a];
+        Shadow &s = shadow_.at(a);
 
         // Write-write / read-write with the last writer.
         bool race = !s.lastWrite.ordered(vc);

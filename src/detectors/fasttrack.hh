@@ -20,9 +20,8 @@
 #define HARD_DETECTORS_FASTTRACK_HH
 
 #include <memory>
-#include <unordered_map>
 
-#include "detectors/meta_cache.hh"
+#include "detectors/lockset_core.hh"
 #include "detectors/sync_order.hh"
 
 namespace hard
@@ -57,12 +56,16 @@ class FastTrackDetector : public ClockedDetector
         Epoch lastRead{};
         /** Inflated read vector (allocated only when needed). */
         std::unique_ptr<VClock> readVc;
+
+        /** Unused: the shadow never sees a barrier (the barrier's
+         * clock join orders the history instead). */
+        void barrierReset() {}
     };
 
     void access(const MemEvent &ev, bool write);
 
     unsigned gran_;
-    std::unordered_map<Addr, Shadow> shadow_;
+    ShadowMemory<Shadow> shadow_;
     std::uint64_t fastReads_ = 0;
     std::uint64_t inflations_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "detectors/happens_before.hh"
 
+#include <bit>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -10,16 +12,10 @@ HappensBeforeDetector::HappensBeforeDetector(const std::string &name,
                                              const HbConfig &cfg)
     : ClockedDetector(name),
       cfg_(cfg),
-      meta_(cfg.metaGeometry, cfg.unbounded)
+      meta_(cfg.metaGeometry, cfg.unbounded,
+            metaGranulesPerLine("hb", cfg.metaGeometry,
+                                cfg.granularityBytes))
 {
-    const unsigned line = cfg_.metaGeometry.lineBytes;
-    hard_fatal_if(cfg_.granularityBytes == 0 ||
-                      cfg_.granularityBytes > line ||
-                      line % cfg_.granularityBytes != 0,
-                  "hb: granularity %u does not divide line size %u",
-                  cfg_.granularityBytes, line);
-    hard_fatal_if(line / cfg_.granularityBytes > 8,
-                  "hb: more than 8 granules per line unsupported");
 }
 
 void
@@ -27,15 +23,19 @@ HappensBeforeDetector::access(const MemEvent &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     bool fresh = false;
-    Line &line = meta_.lookup(ev.addr, fresh);
+    Granule *line = meta_.lookup(ev.addr, fresh);
 
     const unsigned gran = cfg_.granularityBytes;
+    const int shift = std::countr_zero(gran);
     const Addr line_base = cfg_.metaGeometry.lineAddr(ev.addr);
     const Addr lo = alignDown(ev.addr, gran);
     const Addr hi = ev.addr + (ev.size ? ev.size : 1);
+    hard_panic_if(hi > line_base + cfg_.metaGeometry.lineBytes,
+                  "hb: access %llx+%u crosses a metadata line",
+                  static_cast<unsigned long long>(ev.addr), ev.size);
 
     for (Addr a = lo; a < hi; a += gran) {
-        Granule &g = line.g[(a - line_base) / gran];
+        Granule &g = line[(a - line_base) >> shift];
 
         bool race = !g.lastWrite.ordered(vc);
         ThreadId other = race ? g.lastWrite.tid : invalidThread;

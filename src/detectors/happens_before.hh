@@ -72,19 +72,17 @@ class HappensBeforeDetector : public ClockedDetector
     {
         Epoch lastWrite{};
         std::array<std::uint32_t, kMaxThreads> readClk{};
-    };
 
-    /** Shadow state of one metadata line. */
-    struct Line
-    {
-        std::array<Granule, 8> g{};
+        /** Timestamps survive barriers: the barrier's clock join
+         * orders them. */
+        void barrierReset() {}
     };
 
     /** Apply one access to every granule it overlaps. */
     void access(const MemEvent &ev, bool write);
 
     HbConfig cfg_;
-    MetaCache<Line> meta_;
+    MetaCache<Granule> meta_;
 };
 
 } // namespace hard

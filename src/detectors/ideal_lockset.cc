@@ -9,23 +9,10 @@
 namespace hard
 {
 
-namespace
-{
-
-unsigned
-checkedGranularity(unsigned bytes)
-{
-    hard_fatal_if(bytes == 0 || !isPowerOf2(bytes),
-                  "ideal-lockset: bad granularity %u", bytes);
-    return bytes;
-}
-
-} // namespace
-
 IdealLocksetDetector::IdealLocksetDetector(const std::string &name,
                                            const IdealLocksetConfig &cfg)
     : RaceDetector(name), cfg_(cfg),
-      shadow_(checkedGranularity(cfg.granularityBytes)),
+      shadow_(checkedGranularity("ideal-lockset", cfg.granularityBytes)),
       held_("ideal-lockset", cfg.tolerateUnbalanced)
 {
 }

@@ -9,7 +9,8 @@
  *  - ShadowMemory is a two-level page-table shadow (DRD/TSan style)
  *    whose granules carry a barrier epoch stamp, which makes the §3.5
  *    flash-reset O(1): a stale granule forgets its lockset state the
- *    next time it is touched;
+ *    next time it is touched (FastTrack and DJIT+ keep their shadows
+ *    in it too, and never reset them);
  *  - HeldLocks keeps each thread's write-held and read-held sets as
  *    table ids, with the unbalanced-lock checks of both detectors.
  *
@@ -224,6 +225,19 @@ class LocksetTable
     /** Memoized single-lock inserts and erases. */
     std::unordered_map<StepKey, LocksetId, StepHash> steps_;
 };
+
+/**
+ * @return @p bytes if it is a valid ShadowMemory granularity (a power
+ * of two); fatal otherwise, naming @p who, so a detector rejects its
+ * configuration before building its shadow.
+ */
+inline unsigned
+checkedGranularity(const char *who, unsigned bytes)
+{
+    hard_fatal_if(bytes == 0 || !isPowerOf2(bytes),
+                  "%s: bad granularity %u", who, bytes);
+    return bytes;
+}
 
 /**
  * Two-level page-table shadow of per-granule records of type @p T,

@@ -6,23 +6,10 @@
 namespace hard
 {
 
-namespace
-{
-
-unsigned
-checkedGranularity(unsigned bytes)
-{
-    hard_fatal_if(bytes == 0 || !isPowerOf2(bytes),
-                  "racetrack: bad granularity %u", bytes);
-    return bytes;
-}
-
-} // namespace
-
 RaceTrackDetector::RaceTrackDetector(const std::string &name,
                                      const RaceTrackConfig &cfg)
     : ClockedDetector(name), cfg_(cfg),
-      shadow_(checkedGranularity(cfg.granularityBytes)),
+      shadow_(checkedGranularity("racetrack", cfg.granularityBytes)),
       held_("racetrack", cfg.tolerateUnbalanced)
 {
 }

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "core/hard_detector.hh"
 #include "detector_test_util.hh"
+#include "explain/prov.hh"
 
 namespace hard
 {
@@ -349,6 +351,116 @@ TEST(HardDetector, FreshLineStartsVirginAllOnes)
     // still "all possible locks".
     EXPECT_EQ(det.lstateOf(x), LState::Exclusive);
     EXPECT_EQ(det.bfOf(x), 0xffffu);
+}
+
+TEST(HardDetectorBarrier, ResidentLinesReadResetStayResidentAndAreNotRefetched)
+{
+    // 2 sets x 1 way: x and ax share set 0, y and ay share set 1.
+    HardConfig cfg;
+    cfg.metaGeometry = CacheConfig{64, 1, 32, 0};
+    HardDetector det("hard", cfg);
+    ProvRecorder prov(cfg.granularityBytes, cfg.bloomBits);
+    det.attachProvenance(&prov);
+    HandTrace t(det);
+    const Addr x = 0x1000, y = 0x1020, ax = 0x1040, ay = 0x1060;
+    const LockAddr l = 0x9000;
+
+    // Lose x's and y's metadata once, so that a refetch of either
+    // would be recorded from now on.
+    t.write(0, x);
+    t.write(0, y);
+    t.write(0, ax);
+    t.write(0, ay);
+    // Both become SharedModified with a narrowed candidate set.
+    for (ThreadId tid : {0u, 1u}) {
+        t.lock(tid, l);
+        t.write(tid, x);
+        t.write(tid, y);
+        t.unlock(tid, l);
+    }
+    ASSERT_EQ(det.lstateOf(x), LState::SharedModified);
+    ASSERT_NE(det.bfOf(y), 0xffffu);
+    ASSERT_EQ(prov.find(x)->refetches, 1u);
+    ASSERT_EQ(prov.find(y)->refetches, 1u);
+    det.syncStats();
+    const std::uint64_t resident = det.stats().value("metaResident");
+    const std::uint64_t evictions = det.hardStats().metadataEvictions;
+    EXPECT_EQ(resident, 2u);
+
+    t.barrier(2);
+    // find() path: x reads as freshly reset.
+    EXPECT_EQ(det.bfOf(x), 0xffffu);
+    EXPECT_EQ(det.lstateOf(x), LState::Virgin);
+    // lookup() path: y is reset before the access applies, so the
+    // access starts from Virgin.
+    t.read(1, y);
+    EXPECT_EQ(det.lstateOf(y), LState::Exclusive);
+    EXPECT_EQ(det.bfOf(y), 0xffffu);
+
+    det.syncStats();
+    EXPECT_EQ(det.stats().value("metaResident"), resident);
+    EXPECT_EQ(det.hardStats().metadataEvictions, evictions);
+    EXPECT_EQ(det.hardStats().barrierResets, 1u);
+    EXPECT_EQ(prov.find(x)->refetches, 1u);
+    EXPECT_EQ(prov.find(y)->refetches, 1u);
+}
+
+/** Random accesses by two threads to 32 granules of 8 lines, under
+ * random subsets of three locks; every lock is released at the end. */
+void
+randomLockedAccesses(HandTrace &t, Rng &rng, int n)
+{
+    const LockAddr locks[] = {0x9000, 0x9040, 0x9080};
+    for (int i = 0; i < n; ++i) {
+        const ThreadId tid = static_cast<ThreadId>(rng.below(2));
+        const unsigned held = static_cast<unsigned>(rng.below(8));
+        for (unsigned k = 0; k < 3; ++k)
+            if (held & (1u << k))
+                t.lock(tid, locks[k]);
+        const Addr a = 0x2000 + rng.below(8) * 32 + rng.below(4) * 8;
+        if (rng.below(2) == 0)
+            t.write(tid, a);
+        else
+            t.read(tid, a);
+        for (unsigned k = 0; k < 3; ++k)
+            if (held & (1u << k))
+                t.unlock(tid, locks[k]);
+    }
+}
+
+TEST(HardDetectorBarrier, OccupancyHistogramMatchesAnEagerReset)
+{
+    // With an eager reset, the state after "before; barrier; after"
+    // is the state a fresh detector reaches from "after" alone: every
+    // granule the barrier found is Virgin with all-ones bits, and the
+    // Lock Registers are empty in both.
+    HardConfig cfg;
+    cfg.granularityBytes = 8;
+    HardDetector lazy("lazy", cfg);
+    HardDetector fresh("fresh", cfg);
+    HandTrace tl(lazy);
+    HandTrace tf(fresh);
+    Rng before(7);
+    randomLockedAccesses(tl, before, 400);
+
+    lazy.syncStats();
+    ASSERT_GT(lazy.stats().histogram("bfOccupancy").count(), 0u);
+    tl.barrier(2);
+    lazy.syncStats();
+    EXPECT_EQ(lazy.stats().histogram("bfOccupancy").count(), 0u);
+
+    Rng after_lazy(8);
+    Rng after_fresh(8);
+    randomLockedAccesses(tl, after_lazy, 60);
+    randomLockedAccesses(tf, after_fresh, 60);
+    lazy.syncStats();
+    fresh.syncStats();
+    const Histogram &got = lazy.stats().histogram("bfOccupancy");
+    const Histogram &want = fresh.stats().histogram("bfOccupancy");
+    EXPECT_GT(want.count(), 0u);
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.sum(), want.sum());
+    EXPECT_EQ(got.buckets(), want.buckets());
 }
 
 class HardGranularitySweep : public ::testing::TestWithParam<unsigned>

@@ -116,6 +116,27 @@ TEST(DetectorConfigDeath, BadGranularitiesAreFatal)
                 ::testing::ExitedWithCode(1), "granularity");
 }
 
+TEST(DetectorAccessDeath, AccessCrossingAMetadataLinePanics)
+{
+    // A trace read from disk can carry any access; one that leaves its
+    // 32-byte line would index past the line's granules.
+    MemEvent ev;
+    ev.tid = 0;
+    ev.core = 0;
+    ev.addr = 0x101c;
+    ev.size = 8;
+    HardConfig fine;
+    fine.granularityBytes = 4;
+    HbConfig hb;
+    hb.granularityBytes = 4;
+    EXPECT_DEATH(HardDetector("h", fine).onWrite(ev), "metadata line");
+    EXPECT_DEATH(HybridDetector("h", fine).onRead(ev), "metadata line");
+    EXPECT_DEATH(HappensBeforeDetector("hb", hb).onWrite(ev),
+                 "metadata line");
+    EXPECT_DEATH(HappensBeforeDetector("hb", HbConfig::ideal()).onRead(ev),
+                 "metadata line");
+}
+
 TEST(DetectorConfigDeath, BadCounterWidthIsFatal)
 {
     HardConfig bad;
