@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "coherence/memsys.hh"
 #include "core/hard_detector.hh"
 #include "detectors/fasttrack.hh"
 #include "detectors/happens_before.hh"
@@ -114,25 +115,20 @@ void
 drivePerAccess(benchmark::State &state, Detector &det)
 {
     Rng rng(7);
-    std::vector<MemEvent> evs(4096);
+    std::vector<Event> evs(4096);
     for (auto &ev : evs) {
         ev.tid = static_cast<ThreadId>(rng.below(4));
         ev.core = ev.tid;
         ev.addr = 0x10000 + rng.below(4096) * 8;
         ev.size = 8;
-        ev.write = rng.chance(0.5);
+        ev.kind = rng.chance(0.5) ? EventKind::Write : EventKind::Read;
         ev.site = static_cast<SiteId>(rng.below(16));
-        ev.outcome.stateAfter = CState::Shared;
-        ev.outcome.sharers = 2;
+        ev.stateAfter = CState::Shared;
+        ev.sharers = 2;
     }
     std::size_t i = 0;
-    for (auto _ : state) {
-        const MemEvent &ev = evs[i++ & 4095];
-        if (ev.write)
-            det.onWrite(ev);
-        else
-            det.onRead(ev);
-    }
+    for (auto _ : state)
+        det.onEvent(evs[i++ & 4095]);
 }
 
 void

@@ -40,20 +40,20 @@ HardDetector::regFor(ThreadId tid, CoreId core)
 }
 
 void
-HardDetector::onLineEvicted(Addr line_addr, Cycle at)
+HardDetector::onLineEvicted(const Event &ev)
 {
     if (!cfg_.coupleToCaches)
         return;
-    if (meta_.erase(line_addr)) {
+    if (meta_.erase(ev.addr)) {
         ++stats_.metadataEvictions;
         if (prov_)
-            prov_->recordMetaLoss(cfg_.metaGeometry.lineAddr(line_addr),
-                                  cfg_.metaGeometry.lineBytes, at);
+            prov_->recordMetaLoss(cfg_.metaGeometry.lineAddr(ev.addr),
+                                  cfg_.metaGeometry.lineBytes, ev.at);
         if (tracer_ && tracer_->wants(kTraceDetector)) {
             Json args = Json::object();
-            args.set("line", line_addr);
+            args.set("line", ev.addr);
             tracer_->instant(kTraceDetector, EventTracer::kDetectorTrack,
-                             name() + ":meta-loss", at, std::move(args));
+                             name() + ":meta-loss", ev.at, std::move(args));
         }
     }
 }
@@ -104,12 +104,13 @@ HardDetector::registerProbes(IntervalSampler &sampler)
 }
 
 void
-HardDetector::onContextSwitch(CoreId core, ThreadId from, ThreadId to,
-                              Cycle at)
+HardDetector::onContextSwitch(const Event &ev)
 {
-    (void)at;
     if (!cfg_.perCoreRegisters || !cfg_.saveRestoreOnSwitch)
         return;
+    const CoreId core = ev.core;
+    const ThreadId from = ev.switchedOut();
+    const ThreadId to = ev.tid;
     hard_panic_if(core >= coreRegs_.size() || from >= kMaxThreads ||
                       to >= kMaxThreads,
                   "hard: bad context switch c%u %u->%u", core, from, to);
@@ -152,7 +153,7 @@ HardDetector::bfOf(Addr addr)
 }
 
 void
-HardDetector::access(const MemEvent &ev, bool write)
+HardDetector::access(const Event &ev, bool write)
 {
     hard_panic_if(ev.tid >= kMaxThreads, "hard: thread id %u too large",
                   ev.tid);
@@ -226,8 +227,8 @@ HardDetector::access(const MemEvent &ev, bool write)
     // §3.4: a read that leaves the line in Shared CState with a
     // changed candidate set broadcasts the new metadata so all valid
     // copies stay consistent.
-    if (!write && changed && ev.outcome.stateAfter == CState::Shared &&
-        ev.outcome.sharers > 1) {
+    if (!write && changed && ev.stateAfter == CState::Shared &&
+        ev.sharers > 1) {
         ++stats_.metaBroadcasts;
         if (prov_)
             for (std::size_t i = 0; i < n_bcast; ++i)
@@ -239,35 +240,35 @@ HardDetector::access(const MemEvent &ev, bool write)
 }
 
 void
-HardDetector::onRead(const MemEvent &ev)
+HardDetector::onRead(const Event &ev)
 {
     access(ev, false);
 }
 
 void
-HardDetector::onWrite(const MemEvent &ev)
+HardDetector::onWrite(const Event &ev)
 {
     access(ev, true);
 }
 
 void
-HardDetector::onLockAcquire(const SyncEvent &ev)
+HardDetector::onLockAcquire(const Event &ev)
 {
     hard_panic_if(ev.tid >= kMaxThreads, "hard: thread id %u too large",
                   ev.tid);
-    regFor(ev.tid, ev.core).acquire(ev.lock);
+    regFor(ev.tid, ev.core).acquire(ev.addr);
 }
 
 void
-HardDetector::onLockRelease(const SyncEvent &ev)
+HardDetector::onLockRelease(const Event &ev)
 {
     hard_panic_if(ev.tid >= kMaxThreads, "hard: thread id %u too large",
                   ev.tid);
-    regFor(ev.tid, ev.core).release(ev.lock);
+    regFor(ev.tid, ev.core).release(ev.addr);
 }
 
 void
-HardDetector::onBarrier(const BarrierEvent &ev)
+HardDetector::onBarrier(const Event &ev)
 {
     if (!cfg_.barrierReset)
         return;

@@ -47,7 +47,7 @@ struct HardConfig
     /**
      * Most faithful §3.6 model: store metadata unbounded but drop a
      * line's metadata exactly when the *simulated* L2 displaces that
-     * line (requires the onLineEvicted events of a live System or a
+     * line (requires the LineEvicted events of a live System or a
      * trace that recorded them). The default instead mirrors the L2
      * geometry inside the detector, which tracks data accesses only.
      */
@@ -60,7 +60,7 @@ struct HardConfig
      * Model the Lock/Counter Registers as *per-processor* structures
      * (the paper's actual hardware, §3.1) rather than per-thread.
      * Requires the OS to save and restore them on context switches
-     * (the onContextSwitch hook); equivalent to per-thread registers
+     * (the ContextSwitch event); equivalent to per-thread registers
      * when that support works.
      */
     bool perCoreRegisters = false;
@@ -108,14 +108,13 @@ class HardDetector : public RaceDetector
     HardDetector(const std::string &name, const HardConfig &cfg,
                  Bus *bus = nullptr);
 
-    void onRead(const MemEvent &ev) override;
-    void onWrite(const MemEvent &ev) override;
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
-    void onContextSwitch(CoreId core, ThreadId from, ThreadId to,
-                         Cycle at) override;
-    void onLineEvicted(Addr line_addr, Cycle at) override;
+    void onRead(const Event &ev) override;
+    void onWrite(const Event &ev) override;
+    void onLockAcquire(const Event &ev) override;
+    void onLockRelease(const Event &ev) override;
+    void onBarrier(const Event &ev) override;
+    void onContextSwitch(const Event &ev) override;
+    void onLineEvicted(const Event &ev) override;
 
     /**
      * Rwlocks feed the Lock Register mode-blind: the hardware sees
@@ -125,14 +124,14 @@ class HardDetector : public RaceDetector
      * effective locksets, preserving hard ⊆ ideal containment.
      */
     void
-    onRwLockAcquire(const SyncEvent &ev, bool writer) override
+    onRwLockAcquire(const Event &ev, bool writer) override
     {
         (void)writer;
         onLockAcquire(ev);
     }
 
     void
-    onRwLockRelease(const SyncEvent &ev, bool writer) override
+    onRwLockRelease(const Event &ev, bool writer) override
     {
         (void)writer;
         onLockRelease(ev);
@@ -185,7 +184,7 @@ class HardDetector : public RaceDetector
         void barrierReset() { *this = Granule{}; }
     };
 
-    void access(const MemEvent &ev, bool write);
+    void access(const Event &ev, bool write);
 
     /** @return the Lock Register used for (thread @p tid, core
      * @p core) under the configured register model. */

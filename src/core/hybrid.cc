@@ -20,7 +20,7 @@ HybridDetector::HybridDetector(const std::string &name,
 }
 
 void
-HybridDetector::access(const MemEvent &ev, bool write)
+HybridDetector::access(const Event &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     bool fresh = false;
@@ -71,33 +71,33 @@ HybridDetector::access(const MemEvent &ev, bool write)
 }
 
 void
-HybridDetector::onRead(const MemEvent &ev)
+HybridDetector::onRead(const Event &ev)
 {
     access(ev, false);
 }
 
 void
-HybridDetector::onWrite(const MemEvent &ev)
+HybridDetector::onWrite(const Event &ev)
 {
     access(ev, true);
 }
 
 void
-HybridDetector::onLockAcquire(const SyncEvent &ev)
+HybridDetector::onLockAcquire(const Event &ev)
 {
     SyncOrder::checkThread(ev.tid);
-    lockRegs_[ev.tid].acquire(ev.lock);
+    lockRegs_[ev.tid].acquire(ev.addr);
 }
 
 void
-HybridDetector::onLockRelease(const SyncEvent &ev)
+HybridDetector::onLockRelease(const Event &ev)
 {
     SyncOrder::checkThread(ev.tid);
-    lockRegs_[ev.tid].release(ev.lock);
+    lockRegs_[ev.tid].release(ev.addr);
 }
 
 void
-HybridDetector::onBarrier(const BarrierEvent &ev)
+HybridDetector::onBarrier(const Event &ev)
 {
     if (cfg_.barrierReset)
         meta_.onBarrier();

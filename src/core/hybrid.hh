@@ -39,28 +39,28 @@ class HybridDetector : public ClockedDetector
      */
     HybridDetector(const std::string &name, const HardConfig &cfg);
 
-    void onRead(const MemEvent &ev) override;
-    void onWrite(const MemEvent &ev) override;
+    void onRead(const Event &ev) override;
+    void onWrite(const Event &ev) override;
 
     /** Locks drive the Lock Registers only and never reach the
      * base's SyncOrder, so its clocks carry non-lock edges alone
      * (barrier, semaphore, condvar, atomic release/acquire). */
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
+    void onLockAcquire(const Event &ev) override;
+    void onLockRelease(const Event &ev) override;
+    void onBarrier(const Event &ev) override;
 
     /** Rwlocks update the Lock Register mode-blind (see HardDetector);
      * their edges stay out of the non-lock clock domain so lock-
      * discipline bugs remain interleaving-insensitive. */
     void
-    onRwLockAcquire(const SyncEvent &ev, bool writer) override
+    onRwLockAcquire(const Event &ev, bool writer) override
     {
         (void)writer;
         onLockAcquire(ev);
     }
 
     void
-    onRwLockRelease(const SyncEvent &ev, bool writer) override
+    onRwLockRelease(const Event &ev, bool writer) override
     {
         (void)writer;
         onLockRelease(ev);
@@ -98,7 +98,7 @@ class HybridDetector : public ClockedDetector
         }
     };
 
-    void access(const MemEvent &ev, bool write);
+    void access(const Event &ev, bool write);
 
     HardConfig cfg_;
     MetaCache<Granule> meta_;

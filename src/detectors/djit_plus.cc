@@ -15,7 +15,7 @@ DjitPlusDetector::DjitPlusDetector(const std::string &name,
 }
 
 void
-DjitPlusDetector::access(const MemEvent &ev, bool write)
+DjitPlusDetector::access(const Event &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     const Addr lo = alignDown(ev.addr, gran_);
@@ -66,13 +66,13 @@ DjitPlusDetector::access(const MemEvent &ev, bool write)
 }
 
 void
-DjitPlusDetector::onRead(const MemEvent &ev)
+DjitPlusDetector::onRead(const Event &ev)
 {
     access(ev, false);
 }
 
 void
-DjitPlusDetector::onWrite(const MemEvent &ev)
+DjitPlusDetector::onWrite(const Event &ev)
 {
     access(ev, true);
 }

@@ -41,8 +41,8 @@ class DjitPlusDetector : public ClockedDetector
     DjitPlusDetector(const std::string &name,
                      unsigned granularity_bytes = 4);
 
-    void onRead(const MemEvent &ev) override;
-    void onWrite(const MemEvent &ev) override;
+    void onRead(const Event &ev) override;
+    void onWrite(const Event &ev) override;
 
     /**
      * @return races whose unordered prior write was *not* the latest
@@ -72,7 +72,7 @@ class DjitPlusDetector : public ClockedDetector
         void barrierReset() {}
     };
 
-    void access(const MemEvent &ev, bool write);
+    void access(const Event &ev, bool write);
 
     unsigned gran_;
     ShadowMemory<Shadow> shadow_;

@@ -15,7 +15,7 @@ FastTrackDetector::FastTrackDetector(const std::string &name,
 }
 
 void
-FastTrackDetector::access(const MemEvent &ev, bool write)
+FastTrackDetector::access(const Event &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     const Addr lo = alignDown(ev.addr, gran_);
@@ -84,13 +84,13 @@ FastTrackDetector::access(const MemEvent &ev, bool write)
 }
 
 void
-FastTrackDetector::onRead(const MemEvent &ev)
+FastTrackDetector::onRead(const Event &ev)
 {
     access(ev, false);
 }
 
 void
-FastTrackDetector::onWrite(const MemEvent &ev)
+FastTrackDetector::onWrite(const Event &ev)
 {
     access(ev, true);
 }

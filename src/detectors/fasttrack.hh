@@ -38,8 +38,8 @@ class FastTrackDetector : public ClockedDetector
     FastTrackDetector(const std::string &name,
                       unsigned granularity_bytes = 4);
 
-    void onRead(const MemEvent &ev) override;
-    void onWrite(const MemEvent &ev) override;
+    void onRead(const Event &ev) override;
+    void onWrite(const Event &ev) override;
 
     /** @return reads handled on the O(1) same-epoch fast path. */
     std::uint64_t fastPathReads() const { return fastReads_; }
@@ -62,7 +62,7 @@ class FastTrackDetector : public ClockedDetector
         void barrierReset() {}
     };
 
-    void access(const MemEvent &ev, bool write);
+    void access(const Event &ev, bool write);
 
     unsigned gran_;
     ShadowMemory<Shadow> shadow_;

@@ -19,7 +19,7 @@ HappensBeforeDetector::HappensBeforeDetector(const std::string &name,
 }
 
 void
-HappensBeforeDetector::access(const MemEvent &ev, bool write)
+HappensBeforeDetector::access(const Event &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     bool fresh = false;
@@ -61,13 +61,13 @@ HappensBeforeDetector::access(const MemEvent &ev, bool write)
 }
 
 void
-HappensBeforeDetector::onRead(const MemEvent &ev)
+HappensBeforeDetector::onRead(const Event &ev)
 {
     access(ev, false);
 }
 
 void
-HappensBeforeDetector::onWrite(const MemEvent &ev)
+HappensBeforeDetector::onWrite(const Event &ev)
 {
     access(ev, true);
 }

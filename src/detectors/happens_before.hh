@@ -58,8 +58,8 @@ class HappensBeforeDetector : public ClockedDetector
      */
     HappensBeforeDetector(const std::string &name, const HbConfig &cfg);
 
-    void onRead(const MemEvent &ev) override;
-    void onWrite(const MemEvent &ev) override;
+    void onRead(const Event &ev) override;
+    void onWrite(const Event &ev) override;
 
     /** @return timestamp lines displaced (history lost). */
     std::uint64_t metadataEvictions() const { return meta_.evictions(); }
@@ -79,7 +79,7 @@ class HappensBeforeDetector : public ClockedDetector
     };
 
     /** Apply one access to every granule it overlaps. */
-    void access(const MemEvent &ev, bool write);
+    void access(const Event &ev, bool write);
 
     HbConfig cfg_;
     MetaCache<Granule> meta_;

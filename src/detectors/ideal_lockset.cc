@@ -30,7 +30,7 @@ IdealLocksetDetector::readLockset(ThreadId tid) const
 }
 
 void
-IdealLocksetDetector::access(const MemEvent &ev, bool write)
+IdealLocksetDetector::access(const Event &ev, bool write)
 {
     const unsigned gran = cfg_.granularityBytes;
     LocksetTable &table = held_.table();
@@ -68,45 +68,45 @@ IdealLocksetDetector::access(const MemEvent &ev, bool write)
 }
 
 void
-IdealLocksetDetector::onRead(const MemEvent &ev)
+IdealLocksetDetector::onRead(const Event &ev)
 {
     access(ev, false);
 }
 
 void
-IdealLocksetDetector::onWrite(const MemEvent &ev)
+IdealLocksetDetector::onWrite(const Event &ev)
 {
     access(ev, true);
 }
 
 void
-IdealLocksetDetector::onLockAcquire(const SyncEvent &ev)
+IdealLocksetDetector::onLockAcquire(const Event &ev)
 {
-    held_.acquire(ev.tid, ev.lock, true, false);
+    held_.acquire(ev.tid, ev.addr, true, false);
     sizeStats_.maxLockset = held_.maxHeld();
 }
 
 void
-IdealLocksetDetector::onLockRelease(const SyncEvent &ev)
+IdealLocksetDetector::onLockRelease(const Event &ev)
 {
-    held_.release(ev.tid, ev.lock, true, false);
+    held_.release(ev.tid, ev.addr, true, false);
 }
 
 void
-IdealLocksetDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
+IdealLocksetDetector::onRwLockAcquire(const Event &ev, bool writer)
 {
-    held_.acquire(ev.tid, ev.lock, writer, true);
+    held_.acquire(ev.tid, ev.addr, writer, true);
     sizeStats_.maxLockset = held_.maxHeld();
 }
 
 void
-IdealLocksetDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
+IdealLocksetDetector::onRwLockRelease(const Event &ev, bool writer)
 {
-    held_.release(ev.tid, ev.lock, writer, true);
+    held_.release(ev.tid, ev.addr, writer, true);
 }
 
 void
-IdealLocksetDetector::onBarrier(const BarrierEvent &ev)
+IdealLocksetDetector::onBarrier(const Event &ev)
 {
     if (!cfg_.barrierReset)
         return;

@@ -45,11 +45,11 @@ class IdealLocksetDetector : public RaceDetector
     IdealLocksetDetector(const std::string &name,
                          const IdealLocksetConfig &cfg);
 
-    void onRead(const MemEvent &ev) override;
-    void onWrite(const MemEvent &ev) override;
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
+    void onRead(const Event &ev) override;
+    void onWrite(const Event &ev) override;
+    void onLockAcquire(const Event &ev) override;
+    void onLockRelease(const Event &ev) override;
+    void onBarrier(const Event &ev) override;
 
     /**
      * Rwlock-aware lockset maintenance: a writer hold protects like a
@@ -57,8 +57,8 @@ class IdealLocksetDetector : public RaceDetector
      * are admitted, so a write under a reader hold is unprotected).
      * Accesses intersect with HeldLocks::protecting(write).
      */
-    void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
-    void onRwLockRelease(const SyncEvent &ev, bool writer) override;
+    void onRwLockAcquire(const Event &ev, bool writer) override;
+    void onRwLockRelease(const Event &ev, bool writer) override;
 
     /** @return the current exact write-held lock set of @p tid
      * (mutexes + writer-mode rwlock holds). */
@@ -107,7 +107,7 @@ class IdealLocksetDetector : public RaceDetector
         void barrierReset() { *this = Granule{}; }
     };
 
-    void access(const MemEvent &ev, bool write);
+    void access(const Event &ev, bool write);
 
     IdealLocksetConfig cfg_;
     ShadowMemory<Granule> shadow_;

@@ -27,7 +27,7 @@ RaceTrackDetector::readLockset(ThreadId tid) const
 }
 
 void
-RaceTrackDetector::access(const MemEvent &ev, bool write)
+RaceTrackDetector::access(const Event &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     const unsigned gran = cfg_.granularityBytes;
@@ -67,49 +67,49 @@ RaceTrackDetector::access(const MemEvent &ev, bool write)
 }
 
 void
-RaceTrackDetector::onRead(const MemEvent &ev)
+RaceTrackDetector::onRead(const Event &ev)
 {
     access(ev, false);
 }
 
 void
-RaceTrackDetector::onWrite(const MemEvent &ev)
+RaceTrackDetector::onWrite(const Event &ev)
 {
     access(ev, true);
 }
 
 void
-RaceTrackDetector::onLockAcquire(const SyncEvent &ev)
+RaceTrackDetector::onLockAcquire(const Event &ev)
 {
     // The base goes first in the lock hooks: it checks the thread id
     // before held_ is touched.
     ClockedDetector::onLockAcquire(ev);
-    held_.acquire(ev.tid, ev.lock, true, false);
+    held_.acquire(ev.tid, ev.addr, true, false);
 }
 
 void
-RaceTrackDetector::onLockRelease(const SyncEvent &ev)
+RaceTrackDetector::onLockRelease(const Event &ev)
 {
     ClockedDetector::onLockRelease(ev);
-    held_.release(ev.tid, ev.lock, true, false);
+    held_.release(ev.tid, ev.addr, true, false);
 }
 
 void
-RaceTrackDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
+RaceTrackDetector::onRwLockAcquire(const Event &ev, bool writer)
 {
     ClockedDetector::onRwLockAcquire(ev, writer);
-    held_.acquire(ev.tid, ev.lock, writer, true);
+    held_.acquire(ev.tid, ev.addr, writer, true);
 }
 
 void
-RaceTrackDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
+RaceTrackDetector::onRwLockRelease(const Event &ev, bool writer)
 {
     ClockedDetector::onRwLockRelease(ev, writer);
-    held_.release(ev.tid, ev.lock, writer, true);
+    held_.release(ev.tid, ev.addr, writer, true);
 }
 
 void
-RaceTrackDetector::onBarrier(const BarrierEvent &ev)
+RaceTrackDetector::onBarrier(const Event &ev)
 {
     if (cfg_.barrierReset) {
         // §3.5-equivalent flash reset: pre-barrier evidence must not

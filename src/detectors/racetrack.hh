@@ -61,13 +61,13 @@ class RaceTrackDetector : public ClockedDetector
     RaceTrackDetector(const std::string &name,
                       const RaceTrackConfig &cfg);
 
-    void onRead(const MemEvent &ev) override;
-    void onWrite(const MemEvent &ev) override;
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
-    void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
-    void onRwLockRelease(const SyncEvent &ev, bool writer) override;
+    void onRead(const Event &ev) override;
+    void onWrite(const Event &ev) override;
+    void onLockAcquire(const Event &ev) override;
+    void onLockRelease(const Event &ev) override;
+    void onBarrier(const Event &ev) override;
+    void onRwLockAcquire(const Event &ev, bool writer) override;
+    void onRwLockRelease(const Event &ev, bool writer) override;
 
     /** @return lockset alarms suppressed by the happens-before check. */
     std::uint64_t suppressed() const { return suppressed_; }
@@ -101,7 +101,7 @@ class RaceTrackDetector : public ClockedDetector
         }
     };
 
-    void access(const MemEvent &ev, bool write);
+    void access(const Event &ev, bool write);
 
     RaceTrackConfig cfg_;
     ShadowMemory<Granule> shadow_;

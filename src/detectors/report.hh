@@ -88,7 +88,8 @@ class ReportSink
 
 /**
  * Base class for all race detectors: an AccessObserver with a name and
- * a ReportSink.
+ * a ReportSink. onEvent() is the one adapter from the event stream to
+ * the named per-kind handlers below, which subclasses override.
  */
 class RaceDetector : public AccessObserver
 {
@@ -97,6 +98,97 @@ class RaceDetector : public AccessObserver
         : name_(std::move(name)), stats_("detector." + name_)
     {
     }
+
+    /** Dispatch @p ev to its handler by kind. */
+    void
+    onEvent(const Event &ev) final
+    {
+        switch (ev.kind) {
+          case EventKind::Read:
+            onRead(ev);
+            break;
+          case EventKind::Write:
+            onWrite(ev);
+            break;
+          case EventKind::LockAcquire:
+            onLockAcquire(ev);
+            break;
+          case EventKind::LockRelease:
+            onLockRelease(ev);
+            break;
+          case EventKind::Barrier:
+            onBarrier(ev);
+            break;
+          case EventKind::SemaPost:
+            onSemaPost(ev);
+            break;
+          case EventKind::SemaWait:
+            onSemaWait(ev);
+            break;
+          case EventKind::ThreadEnd:
+            break;
+          case EventKind::LineEvicted:
+            onLineEvicted(ev);
+            break;
+          case EventKind::RwRdAcquire:
+          case EventKind::RwWrAcquire:
+            onRwLockAcquire(ev, ev.kind == EventKind::RwWrAcquire);
+            break;
+          case EventKind::RwRdRelease:
+          case EventKind::RwWrRelease:
+            onRwLockRelease(ev, ev.kind == EventKind::RwWrRelease);
+            break;
+          case EventKind::CondSignal:
+            onCondSignal(ev);
+            break;
+          case EventKind::CondBroadcast:
+            onCondBroadcast(ev);
+            break;
+          case EventKind::CondWait:
+            onCondWait(ev);
+            break;
+          case EventKind::AtomicStore:
+            onAtomicStore(ev);
+            break;
+          case EventKind::AtomicLoad:
+            onAtomicLoad(ev);
+            break;
+          case EventKind::ContextSwitch:
+            onContextSwitch(ev);
+            break;
+        }
+    }
+
+    /** @name Per-kind handlers (EventKind documents each kind)
+     * @{ */
+    virtual void onRead(const Event &ev) { (void)ev; }
+    virtual void onWrite(const Event &ev) { (void)ev; }
+    virtual void onLockAcquire(const Event &ev) { (void)ev; }
+    virtual void onLockRelease(const Event &ev) { (void)ev; }
+    virtual void onBarrier(const Event &ev) { (void)ev; }
+    virtual void onSemaPost(const Event &ev) { (void)ev; }
+    virtual void onSemaWait(const Event &ev) { (void)ev; }
+    /** Rwlock holds; @p writer is the exclusive mode. */
+    virtual void
+    onRwLockAcquire(const Event &ev, bool writer)
+    {
+        (void)ev;
+        (void)writer;
+    }
+    virtual void
+    onRwLockRelease(const Event &ev, bool writer)
+    {
+        (void)ev;
+        (void)writer;
+    }
+    virtual void onCondSignal(const Event &ev) { (void)ev; }
+    virtual void onCondBroadcast(const Event &ev) { (void)ev; }
+    virtual void onCondWait(const Event &ev) { (void)ev; }
+    virtual void onAtomicStore(const Event &ev) { (void)ev; }
+    virtual void onAtomicLoad(const Event &ev) { (void)ev; }
+    virtual void onLineEvicted(const Event &ev) { (void)ev; }
+    virtual void onContextSwitch(const Event &ev) { (void)ev; }
+    /** @} */
 
     const std::string &name() const { return name_; }
     ReportSink &sink() { return sink_; }

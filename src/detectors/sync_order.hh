@@ -162,81 +162,81 @@ class ClockedDetector : public RaceDetector
     using RaceDetector::RaceDetector;
 
     void
-    onLockAcquire(const SyncEvent &ev) override
+    onLockAcquire(const Event &ev) override
     {
-        sync_.acquire(SyncKind::Lock, ev.tid, ev.lock);
+        sync_.acquire(SyncKind::Lock, ev.tid, ev.addr);
     }
 
     void
-    onLockRelease(const SyncEvent &ev) override
+    onLockRelease(const Event &ev) override
     {
-        sync_.release(SyncKind::Lock, ev.tid, ev.lock);
+        sync_.release(SyncKind::Lock, ev.tid, ev.addr);
     }
 
     void
-    onRwLockAcquire(const SyncEvent &ev, bool writer) override
+    onRwLockAcquire(const Event &ev, bool writer) override
     {
-        sync_.rwAcquire(ev.tid, ev.lock, writer);
+        sync_.rwAcquire(ev.tid, ev.addr, writer);
     }
 
     void
-    onRwLockRelease(const SyncEvent &ev, bool writer) override
+    onRwLockRelease(const Event &ev, bool writer) override
     {
-        sync_.rwRelease(ev.tid, ev.lock, writer);
+        sync_.rwRelease(ev.tid, ev.addr, writer);
     }
 
     /** Hand-crafted synchronization — precisely where happens-before
      * raises fewer false alarms than lockset: a post releases the
      * poster's history, a completed wait acquires it. */
     void
-    onSemaPost(const SyncEvent &ev) override
+    onSemaPost(const Event &ev) override
     {
-        sync_.release(SyncKind::Sema, ev.tid, ev.lock);
+        sync_.release(SyncKind::Sema, ev.tid, ev.addr);
     }
 
     void
-    onSemaWait(const SyncEvent &ev) override
+    onSemaWait(const Event &ev) override
     {
-        sync_.acquire(SyncKind::Sema, ev.tid, ev.lock);
+        sync_.acquire(SyncKind::Sema, ev.tid, ev.addr);
     }
 
     /** Signal and broadcast release into the condvar; a completed wait
      * acquires (the same shape as semaphores). */
     void
-    onCondSignal(const SyncEvent &ev) override
+    onCondSignal(const Event &ev) override
     {
-        sync_.release(SyncKind::Cond, ev.tid, ev.lock);
+        sync_.release(SyncKind::Cond, ev.tid, ev.addr);
     }
 
     void
-    onCondBroadcast(const SyncEvent &ev) override
+    onCondBroadcast(const Event &ev) override
     {
-        sync_.release(SyncKind::Cond, ev.tid, ev.lock);
+        sync_.release(SyncKind::Cond, ev.tid, ev.addr);
     }
 
     void
-    onCondWait(const SyncEvent &ev) override
+    onCondWait(const Event &ev) override
     {
-        sync_.acquire(SyncKind::Cond, ev.tid, ev.lock);
+        sync_.acquire(SyncKind::Cond, ev.tid, ev.addr);
     }
 
     /** Store-release publishes at the location and load-acquire picks
      * it up. Sound for the recorded global completion order (each
      * load observes the latest prior store). */
     void
-    onAtomicStore(const SyncEvent &ev) override
+    onAtomicStore(const Event &ev) override
     {
-        sync_.release(SyncKind::Atomic, ev.tid, ev.lock);
+        sync_.release(SyncKind::Atomic, ev.tid, ev.addr);
     }
 
     void
-    onAtomicLoad(const SyncEvent &ev) override
+    onAtomicLoad(const Event &ev) override
     {
-        sync_.acquire(SyncKind::Atomic, ev.tid, ev.lock);
+        sync_.acquire(SyncKind::Atomic, ev.tid, ev.addr);
     }
 
     void
-    onBarrier(const BarrierEvent &ev) override
+    onBarrier(const Event &ev) override
     {
         (void)ev;
         sync_.barrier();

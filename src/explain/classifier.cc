@@ -98,14 +98,14 @@ class ModeBlindLockset : public IdealLocksetDetector
     using IdealLocksetDetector::IdealLocksetDetector;
 
     void
-    onRwLockAcquire(const SyncEvent &ev, bool writer) override
+    onRwLockAcquire(const Event &ev, bool writer) override
     {
         (void)writer;
         onLockAcquire(ev);
     }
 
     void
-    onRwLockRelease(const SyncEvent &ev, bool writer) override
+    onRwLockRelease(const Event &ev, bool writer) override
     {
         (void)writer;
         onLockRelease(ev);

@@ -66,8 +66,8 @@ class DeafHardDetector : public HardDetector
     {
     }
 
-    void onLockAcquire(const SyncEvent &ev) override { (void)ev; }
-    void onLockRelease(const SyncEvent &ev) override { (void)ev; }
+    void onLockAcquire(const Event &ev) override { (void)ev; }
+    void onLockRelease(const Event &ev) override { (void)ev; }
 };
 
 /** Happens-before that is deaf to semaphore synchronization. */
@@ -79,8 +79,8 @@ class DeafHbDetector : public HappensBeforeDetector
     {
     }
 
-    void onSemaPost(const SyncEvent &ev) override { (void)ev; }
-    void onSemaWait(const SyncEvent &ev) override { (void)ev; }
+    void onSemaPost(const Event &ev) override { (void)ev; }
+    void onSemaWait(const Event &ev) override { (void)ev; }
 };
 
 /** Ideal lockset that forgets to flash-reset at barriers. */
@@ -93,7 +93,7 @@ class NoResetIdealLockset : public IdealLocksetDetector
     {
     }
 
-    void onBarrier(const BarrierEvent &ev) override { (void)ev; }
+    void onBarrier(const Event &ev) override { (void)ev; }
 };
 
 /** DJIT+ that is deaf to rwlock release→acquire edges. */
@@ -106,14 +106,14 @@ class RwDeafDjitDetector : public DjitPlusDetector
     }
 
     void
-    onRwLockAcquire(const SyncEvent &ev, bool writer) override
+    onRwLockAcquire(const Event &ev, bool writer) override
     {
         (void)ev;
         (void)writer;
     }
 
     void
-    onRwLockRelease(const SyncEvent &ev, bool writer) override
+    onRwLockRelease(const Event &ev, bool writer) override
     {
         (void)ev;
         (void)writer;
@@ -132,14 +132,14 @@ class ReadBlindRaceTrack : public RaceTrackDetector
     }
 
     void
-    onRwLockAcquire(const SyncEvent &ev, bool writer) override
+    onRwLockAcquire(const Event &ev, bool writer) override
     {
         if (writer)
             RaceTrackDetector::onRwLockAcquire(ev, writer);
     }
 
     void
-    onRwLockRelease(const SyncEvent &ev, bool writer) override
+    onRwLockRelease(const Event &ev, bool writer) override
     {
         if (writer)
             RaceTrackDetector::onRwLockRelease(ev, writer);

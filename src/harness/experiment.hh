@@ -210,17 +210,10 @@ class ExposureObserver : public AccessObserver
     {
     }
 
-    void onRead(const MemEvent &ev) override { observe(ev); }
-    void onWrite(const MemEvent &ev) override { observe(ev); }
-
-    /** Cycle of the first exposing access, or -1 if none occurred. */
-    std::int64_t exposeCycle() const { return exposeCycle_; }
-
-  private:
     void
-    observe(const MemEvent &ev)
+    onEvent(const Event &ev) override
     {
-        if (exposeCycle_ >= 0)
+        if (exposeCycle_ >= 0 || !ev.isAccess())
             return;
         if (!inj_.overlaps(ev.addr, ev.size))
             return;
@@ -229,6 +222,10 @@ class ExposureObserver : public AccessObserver
         exposeCycle_ = static_cast<std::int64_t>(ev.at);
     }
 
+    /** Cycle of the first exposing access, or -1 if none occurred. */
+    std::int64_t exposeCycle() const { return exposeCycle_; }
+
+  private:
     const Injection &inj_;
     const std::set<SiteId> &trueSites_;
     std::int64_t exposeCycle_ = -1;

@@ -7,11 +7,14 @@
 #ifndef HARD_MEM_CSTATE_HH
 #define HARD_MEM_CSTATE_HH
 
+#include <cstdint>
+
 namespace hard
 {
 
-/** MESI coherence state of a cache line. */
-enum class CState
+/** MESI coherence state of a cache line (one byte, so the event
+ * record stays small). */
+enum class CState : std::uint8_t
 {
     Invalid,
     Shared,

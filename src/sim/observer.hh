@@ -7,13 +7,17 @@
  * and synchronization event stream, so a single simulated execution can
  * drive HARD, happens-before and the ideal-lockset detector on an
  * *identical* interleaving — the comparison methodology of paper §5.1.
+ * The stream is one record type, Event, from the simulator through the
+ * trace (trace/trace.hh stores the same record) to the detectors.
  */
 
 #ifndef HARD_SIM_OBSERVER_HH
 #define HARD_SIM_OBSERVER_HH
 
-#include "coherence/memsys.hh"
+#include <cstdint>
+
 #include "common/types.hh"
+#include "mem/cstate.hh"
 
 namespace hard
 {
@@ -22,131 +26,131 @@ class StatRegistry;
 class EventTracer;
 class IntervalSampler;
 
-/** A completed data access (lock words are reported via sync events). */
-struct MemEvent
+/**
+ * Kinds of observable event. The values up to AtomicLoad are the
+ * trace's on-disk kind byte; ContextSwitch is live-only.
+ */
+enum class EventKind : std::uint8_t
 {
-    ThreadId tid = invalidThread;
-    CoreId core = invalidCore;
-    Addr addr = 0;
-    unsigned size = 0;
-    bool write = false;
-    SiteId site = invalidSite;
-    /** Completion cycle. */
-    Cycle at = 0;
-    /** Coherence/timing outcome (sharers, source, CState after...). */
-    AccessOutcome outcome;
-};
-
-/** A lock acquire or release. */
-struct SyncEvent
-{
-    ThreadId tid = invalidThread;
-    CoreId core = invalidCore;
-    LockAddr lock = 0;
-    SiteId site = invalidSite;
-    Cycle at = 0;
-};
-
-/** A completed barrier episode (all threads arrived and released). */
-struct BarrierEvent
-{
-    /** Address of the barrier object. */
-    Addr barrier = 0;
-    /** Episode ordinal for this barrier object (0-based). */
-    unsigned episode = 0;
-    /** Release cycle. */
-    Cycle at = 0;
-    /** Number of participating threads. */
-    unsigned participants = 0;
+    /** A data read completed (lock words are reported as sync). */
+    Read = 0,
+    /** A data write completed. */
+    Write = 1,
+    /** Thread tid acquired the lock at addr. */
+    LockAcquire = 2,
+    /** Thread tid released the lock at addr. */
+    LockRelease = 3,
+    /** All threads passed the barrier at addr (§3.5 reset point). */
+    Barrier = 4,
+    /**
+     * Hand-crafted synchronization: tid posted the semaphore at addr.
+     * Lockset-style detectors cannot interpret this (paper §5.1's
+     * residual false-alarm source); happens-before can.
+     */
+    SemaPost = 5,
+    /** Thread tid completed a wait on the semaphore at addr. */
+    SemaWait = 6,
+    /** Thread tid ran off the end of its stream. */
+    ThreadEnd = 7,
+    /**
+     * The line at addr was displaced from the shared L2 (its L1 copies
+     * were back-invalidated). Any detector metadata stored with the
+     * line is lost at this point (§3.6 "Cache Displacement").
+     */
+    LineEvicted = 8,
+    /**
+     * Rwlock holds, by mode. HARD's Lock Register is mode-blind (the
+     * hardware sees one lock word either way); software detectors may
+     * honor the mode.
+     */
+    RwRdAcquire = 9,
+    RwRdRelease = 10,
+    RwWrAcquire = 11,
+    RwWrRelease = 12,
+    /** Thread tid signalled the condition variable at addr. */
+    CondSignal = 13,
+    /** Thread tid broadcast the condition variable at addr. */
+    CondBroadcast = 14,
+    /** Thread tid returned from a wait on the condvar at addr. */
+    CondWait = 15,
+    /** Thread tid performed a store-release at addr. */
+    AtomicStore = 16,
+    /** Thread tid performed a load-acquire at addr. Highest kind a
+     * trace may hold (bounds-checked on decode). */
+    AtomicLoad = 17,
+    /**
+     * Core `core` switched from running switchedOut() to running tid
+     * (only fired when threads are oversubscribed onto cores). This is
+     * where the OS saves and restores HARD's per-processor Lock/Counter
+     * Registers (§3.1/§3.3). Not stored in traces.
+     */
+    ContextSwitch = 18,
 };
 
 /**
- * Passive observer of the simulated execution. All hooks are invoked
- * in global completion-cycle order.
+ * One observable event. Which fields are meaningful depends on kind:
+ * memory events use all but episode/participants, sync events leave
+ * size, stateAfter and sharers zero, Barrier and LineEvicted carry no
+ * thread. Field order keeps the record at 48 bytes.
+ */
+struct Event
+{
+    EventKind kind = EventKind::Read;
+    /** Memory events: coherence state after the access. */
+    CState stateAfter = CState::Invalid;
+    ThreadId tid = invalidThread;
+    CoreId core = invalidCore;
+    /** Memory events: access size in bytes. */
+    unsigned size = 0;
+    /**
+     * The object: data address, lock/semaphore/condvar/atomic word,
+     * barrier object or evicted line. ContextSwitch: the thread
+     * switched out (read it through switchedOut()).
+     */
+    Addr addr = 0;
+    /** Completion cycle (barrier: release cycle). */
+    Cycle at = 0;
+    SiteId site = invalidSite;
+    /** Memory events: L1 sharers after the access. */
+    unsigned sharers = 0;
+    /** Barrier events: episode ordinal for this barrier object. */
+    unsigned episode = 0;
+    /** Barrier events: number of participating threads. */
+    unsigned participants = 0;
+
+    /** @return true for a data read or write. */
+    bool
+    isAccess() const
+    {
+        return kind == EventKind::Read || kind == EventKind::Write;
+    }
+
+    /** ContextSwitch: the thread that left the core. */
+    ThreadId switchedOut() const { return static_cast<ThreadId>(addr); }
+
+    bool operator==(const Event &) const = default;
+
+    /** @name Trace encoding (defined in trace/trace.hh)
+     * @{ */
+    struct Packed;
+    Packed pack() const;
+    static Event unpack(const Packed &p);
+    /** @} */
+};
+
+static_assert(sizeof(Event) <= 48, "the event record must stay 48 bytes");
+
+/**
+ * Passive observer of the simulated execution. onEvent() is invoked
+ * for every event in global completion-cycle order.
  */
 class AccessObserver
 {
   public:
     virtual ~AccessObserver() = default;
 
-    /** A data read completed. */
-    virtual void onRead(const MemEvent &ev) { (void)ev; }
-    /** A data write completed. */
-    virtual void onWrite(const MemEvent &ev) { (void)ev; }
-    /** Thread @p ev.tid acquired lock @p ev.lock. */
-    virtual void onLockAcquire(const SyncEvent &ev) { (void)ev; }
-    /** Thread @p ev.tid released lock @p ev.lock. */
-    virtual void onLockRelease(const SyncEvent &ev) { (void)ev; }
-    /** All threads passed a barrier (paper §3.5 reset point). */
-    virtual void onBarrier(const BarrierEvent &ev) { (void)ev; }
-    /**
-     * Hand-crafted synchronization: @p ev.tid posted the semaphore at
-     * @p ev.lock. Lockset-style detectors cannot interpret this
-     * (paper §5.1's residual false-alarm source); happens-before can.
-     */
-    virtual void onSemaPost(const SyncEvent &ev) { (void)ev; }
-    /** Thread @p ev.tid completed a wait on semaphore @p ev.lock. */
-    virtual void onSemaWait(const SyncEvent &ev) { (void)ev; }
-    /**
-     * Thread @p ev.tid acquired the rwlock at @p ev.lock; @p writer
-     * distinguishes exclusive (writer) from shared (reader) mode.
-     * HARD's Lock Register is mode-blind (the hardware sees one lock
-     * word either way); software detectors may honor the mode.
-     */
-    virtual void onRwLockAcquire(const SyncEvent &ev, bool writer)
-    {
-        (void)ev;
-        (void)writer;
-    }
-    /** Thread @p ev.tid released a @p writer-mode hold of @p ev.lock. */
-    virtual void onRwLockRelease(const SyncEvent &ev, bool writer)
-    {
-        (void)ev;
-        (void)writer;
-    }
-    /** Thread @p ev.tid signalled the condition variable @p ev.lock. */
-    virtual void onCondSignal(const SyncEvent &ev) { (void)ev; }
-    /** Thread @p ev.tid broadcast the condition variable @p ev.lock. */
-    virtual void onCondBroadcast(const SyncEvent &ev) { (void)ev; }
-    /** Thread @p ev.tid returned from a wait on condvar @p ev.lock. */
-    virtual void onCondWait(const SyncEvent &ev) { (void)ev; }
-    /** Thread @p ev.tid performed a store-release at @p ev.lock. */
-    virtual void onAtomicStore(const SyncEvent &ev) { (void)ev; }
-    /** Thread @p ev.tid performed a load-acquire at @p ev.lock. */
-    virtual void onAtomicLoad(const SyncEvent &ev) { (void)ev; }
-    /** Thread @p tid ran off the end of its stream. */
-    virtual void onThreadEnd(ThreadId tid, Cycle at)
-    {
-        (void)tid;
-        (void)at;
-    }
-
-    /**
-     * A line was displaced from the shared L2 (its L1 copies were
-     * back-invalidated). Any detector metadata stored with the line
-     * is lost at this point (§3.6 "Cache Displacement").
-     */
-    virtual void
-    onLineEvicted(Addr line_addr, Cycle at)
-    {
-        (void)line_addr;
-        (void)at;
-    }
-
-    /**
-     * Core @p core switched from running @p from to running @p to
-     * (only fired when threads are oversubscribed onto cores). This
-     * is where the OS saves and restores HARD's per-processor
-     * Lock/Counter Registers (§3.1/§3.3).
-     */
-    virtual void
-    onContextSwitch(CoreId core, ThreadId from, ThreadId to, Cycle at)
-    {
-        (void)core;
-        (void)from;
-        (void)to;
-        (void)at;
-    }
+    /** Observe one event. */
+    virtual void onEvent(const Event &ev) = 0;
 
     /** @name Telemetry hooks (all optional)
      * Called by System when the corresponding telemetry facility is

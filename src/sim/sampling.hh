@@ -136,8 +136,8 @@ sampleDecision(const SamplingSpec &s, Addr addr, Cycle at)
 /**
  * Forwarding wrapper that feeds an inner observer the sampled
  * substream: data accesses pass through sampleDecision(); every other
- * hook — synchronization, thread lifecycle, line evictions, context
- * switches, and the telemetry registrations — forwards untouched.
+ * event — synchronization, thread lifecycle, line evictions, context
+ * switches — and the telemetry registrations forward untouched.
  * Wrap a detector in one of these to run it at rate r.
  */
 class SamplingObserver : public AccessObserver
@@ -149,76 +149,10 @@ class SamplingObserver : public AccessObserver
     }
 
     void
-    onRead(const MemEvent &ev) override
+    onEvent(const Event &ev) override
     {
-        if (sampleDecision(spec_, ev.addr, ev.at))
-            inner_.onRead(ev);
-    }
-    void
-    onWrite(const MemEvent &ev) override
-    {
-        if (sampleDecision(spec_, ev.addr, ev.at))
-            inner_.onWrite(ev);
-    }
-    void
-    onLockAcquire(const SyncEvent &ev) override
-    {
-        inner_.onLockAcquire(ev);
-    }
-    void
-    onLockRelease(const SyncEvent &ev) override
-    {
-        inner_.onLockRelease(ev);
-    }
-    void onBarrier(const BarrierEvent &ev) override { inner_.onBarrier(ev); }
-    void onSemaPost(const SyncEvent &ev) override { inner_.onSemaPost(ev); }
-    void onSemaWait(const SyncEvent &ev) override { inner_.onSemaWait(ev); }
-    void
-    onRwLockAcquire(const SyncEvent &ev, bool writer) override
-    {
-        inner_.onRwLockAcquire(ev, writer);
-    }
-    void
-    onRwLockRelease(const SyncEvent &ev, bool writer) override
-    {
-        inner_.onRwLockRelease(ev, writer);
-    }
-    void
-    onCondSignal(const SyncEvent &ev) override
-    {
-        inner_.onCondSignal(ev);
-    }
-    void
-    onCondBroadcast(const SyncEvent &ev) override
-    {
-        inner_.onCondBroadcast(ev);
-    }
-    void onCondWait(const SyncEvent &ev) override { inner_.onCondWait(ev); }
-    void
-    onAtomicStore(const SyncEvent &ev) override
-    {
-        inner_.onAtomicStore(ev);
-    }
-    void
-    onAtomicLoad(const SyncEvent &ev) override
-    {
-        inner_.onAtomicLoad(ev);
-    }
-    void
-    onThreadEnd(ThreadId tid, Cycle at) override
-    {
-        inner_.onThreadEnd(tid, at);
-    }
-    void
-    onLineEvicted(Addr line_addr, Cycle at) override
-    {
-        inner_.onLineEvicted(line_addr, at);
-    }
-    void
-    onContextSwitch(CoreId core, ThreadId from, ThreadId to,
-                    Cycle at) override
-    {
-        inner_.onContextSwitch(core, from, to, at);
+        if (!ev.isAccess() || sampleDecision(spec_, ev.addr, ev.at))
+            inner_.onEvent(ev);
     }
 
     void

@@ -23,8 +23,10 @@ System::System(const SimConfig &cfg, const Program &prog)
 
     memsys_ = std::make_unique<MemorySystem>(cfg.memsys);
     memsys_->setL2EvictionCallback([this](Addr line) {
-        for (AccessObserver *obs : observers_)
-            obs->onLineEvicted(line, 0);
+        Event ev;
+        ev.kind = EventKind::LineEvicted;
+        ev.addr = line;
+        notify(ev);
     });
 
     threads_.resize(prog.threads.size());
@@ -157,14 +159,24 @@ System::statsDump() const
 }
 
 void
-System::notifyAccess(const MemEvent &ev)
+System::notify(const Event &ev)
 {
-    for (AccessObserver *obs : observers_) {
-        if (ev.write)
-            obs->onWrite(ev);
-        else
-            obs->onRead(ev);
-    }
+    for (AccessObserver *obs : observers_)
+        obs->onEvent(ev);
+}
+
+void
+System::notifySync(EventKind kind, const HwCore &core, const ThreadCtx &th,
+                   Addr addr, SiteId site, Cycle at)
+{
+    Event ev;
+    ev.kind = kind;
+    ev.tid = th.tid;
+    ev.core = core.id;
+    ev.addr = addr;
+    ev.at = at;
+    ev.site = site;
+    notify(ev);
 }
 
 System::Pick
@@ -247,16 +259,17 @@ System::doAccess(HwCore &core, ThreadCtx &th, Cycle now, const Op &op)
         memsys_->bus().transact(TxnType::MetaDirectory, out.completeAt);
     }
 
-    MemEvent ev;
+    Event ev;
+    ev.kind = write ? EventKind::Write : EventKind::Read;
+    ev.stateAfter = out.stateAfter;
     ev.tid = th.tid;
     ev.core = core.id;
-    ev.addr = op.addr;
     ev.size = op.size;
-    ev.write = write;
-    ev.site = op.site;
+    ev.addr = op.addr;
     ev.at = out.completeAt;
-    ev.outcome = out;
-    notifyAccess(ev);
+    ev.site = op.site;
+    ev.sharers = out.sharers;
+    notify(ev);
 
     if (write)
         ++result_.dataWrites;
@@ -300,9 +313,7 @@ System::doLock(HwCore &core, ThreadCtx &th, Cycle now, LockAddr lock,
     lockHolder_[lock] = th.tid;
     ++result_.lockAcquires;
 
-    SyncEvent ev{th.tid, core.id, lock, site, done};
-    for (AccessObserver *obs : observers_)
-        obs->onLockAcquire(ev);
+    notifySync(EventKind::LockAcquire, core, th, lock, site, done);
     if (tracer_ && tracer_->wants(kTraceSync)) {
         Json args = Json::object();
         args.set("lock", lock);
@@ -350,9 +361,8 @@ System::doRwLock(HwCore &core, ThreadCtx &th, Cycle now, const Op &op,
         rw.readers.push_back(th.tid);
     ++result_.lockAcquires;
 
-    SyncEvent ev{th.tid, core.id, op.addr, op.site, done};
-    for (AccessObserver *obs : observers_)
-        obs->onRwLockAcquire(ev, writer);
+    notifySync(writer ? EventKind::RwWrAcquire : EventKind::RwRdAcquire,
+               core, th, op.addr, op.site, done);
     if (tracer_ && tracer_->wants(kTraceSync)) {
         Json args = Json::object();
         args.set("rwlock", op.addr);
@@ -398,9 +408,8 @@ System::doRwUnlock(HwCore &core, ThreadCtx &th, Cycle now, const Op &op,
     if (cfg_.hardTiming.enabled)
         done += cfg_.hardTiming.lockUpdateCycles;
 
-    SyncEvent ev{th.tid, core.id, op.addr, op.site, done};
-    for (AccessObserver *obs : observers_)
-        obs->onRwLockRelease(ev, writer);
+    notifySync(writer ? EventKind::RwWrRelease : EventKind::RwRdRelease,
+               core, th, op.addr, op.site, done);
     if (tracer_ && tracer_->wants(kTraceSync)) {
         Json args = Json::object();
         args.set("rwlock", op.addr);
@@ -459,9 +468,8 @@ System::step(HwCore &core, ThreadCtx &th, Cycle now)
             done += cfg_.hardTiming.lockUpdateCycles;
         it->second = invalidThread;
 
-        SyncEvent ev{th.tid, core.id, op.addr, op.site, done};
-        for (AccessObserver *obs : observers_)
-            obs->onLockRelease(ev);
+        notifySync(EventKind::LockRelease, core, th, op.addr, op.site,
+                   done);
         if (tracer_ && tracer_->wants(kTraceSync)) {
             Json args = Json::object();
             args.set("lock", op.addr);
@@ -484,10 +492,8 @@ System::step(HwCore &core, ThreadCtx &th, Cycle now)
                                              sizeof(std::uint32_t), true,
                                              now);
         SemaState &sema = semas_[op.addr];
-        SyncEvent ev{th.tid, core.id, op.addr, op.site,
-                     post.completeAt};
-        for (AccessObserver *obs : observers_)
-            obs->onSemaPost(ev);
+        notifySync(EventKind::SemaPost, core, th, op.addr, op.site,
+                   post.completeAt);
         if (tracer_ && tracer_->wants(kTraceSync)) {
             Json args = Json::object();
             args.set("sema", op.addr);
@@ -532,10 +538,8 @@ System::step(HwCore &core, ThreadCtx &th, Cycle now)
         AccessOutcome wait = memsys_->access(core.id, op.addr,
                                              sizeof(std::uint32_t), true,
                                              now);
-        SyncEvent ev{th.tid, core.id, op.addr, op.site,
-                     wait.completeAt};
-        for (AccessObserver *obs : observers_)
-            obs->onSemaWait(ev);
+        notifySync(EventKind::SemaWait, core, th, op.addr, op.site,
+                   wait.completeAt);
         if (tracer_ && tracer_->wants(kTraceSync)) {
             Json args = Json::object();
             args.set("sema", op.addr);
@@ -574,9 +578,13 @@ System::step(HwCore &core, ThreadCtx &th, Cycle now)
                     t.readyAt = release;
                 }
             }
-            BarrierEvent ev{op.addr, bar.episode, release, bar.arrived};
-            for (AccessObserver *obs : observers_)
-                obs->onBarrier(ev);
+            Event ev;
+            ev.kind = EventKind::Barrier;
+            ev.addr = op.addr;
+            ev.at = release;
+            ev.episode = bar.episode;
+            ev.participants = bar.arrived;
+            notify(ev);
             if (tracer_ && tracer_->wants(kTraceSync)) {
                 Json args = Json::object();
                 args.set("barrier", op.addr);
@@ -617,13 +625,9 @@ System::step(HwCore &core, ThreadCtx &th, Cycle now)
                                             sizeof(std::uint32_t), true,
                                             now);
         CondState &cv = conds_[op.addr];
-        SyncEvent ev{th.tid, core.id, op.addr, op.site, sig.completeAt};
-        for (AccessObserver *obs : observers_) {
-            if (broadcast)
-                obs->onCondBroadcast(ev);
-            else
-                obs->onCondSignal(ev);
-        }
+        notifySync(broadcast ? EventKind::CondBroadcast
+                             : EventKind::CondSignal,
+                   core, th, op.addr, op.site, sig.completeAt);
         if (tracer_ && tracer_->wants(kTraceSync)) {
             Json args = Json::object();
             args.set("cond", op.addr);
@@ -678,10 +682,8 @@ System::step(HwCore &core, ThreadCtx &th, Cycle now)
         AccessOutcome wake = memsys_->access(core.id, op.addr,
                                              sizeof(std::uint32_t), true,
                                              now);
-        SyncEvent ev{th.tid, core.id, op.addr, op.site,
-                     wake.completeAt};
-        for (AccessObserver *obs : observers_)
-            obs->onCondWait(ev);
+        notifySync(EventKind::CondWait, core, th, op.addr, op.site,
+                   wake.completeAt);
         if (tracer_ && tracer_->wants(kTraceSync)) {
             Json args = Json::object();
             args.set("cond", op.addr);
@@ -703,13 +705,8 @@ System::step(HwCore &core, ThreadCtx &th, Cycle now)
         AccessOutcome acc = memsys_->access(core.id, op.addr,
                                             sizeof(std::uint32_t), store,
                                             now);
-        SyncEvent ev{th.tid, core.id, op.addr, op.site, acc.completeAt};
-        for (AccessObserver *obs : observers_) {
-            if (store)
-                obs->onAtomicStore(ev);
-            else
-                obs->onAtomicLoad(ev);
-        }
+        notifySync(store ? EventKind::AtomicStore : EventKind::AtomicLoad,
+                   core, th, op.addr, op.site, acc.completeAt);
         if (tracer_ && tracer_->wants(kTraceSync)) {
             Json args = Json::object();
             args.set("atomic", op.addr);
@@ -731,8 +728,7 @@ System::step(HwCore &core, ThreadCtx &th, Cycle now)
         th.readyAt = now;
         core.freeAt = now + 1;
         result_.totalCycles = std::max(result_.totalCycles, now);
-        for (AccessObserver *obs : observers_)
-            obs->onThreadEnd(th.tid, now);
+        notifySync(EventKind::ThreadEnd, core, th, 0, invalidSite, now);
         // A thread may not exit while holding locks.
         for (const auto &kv : lockHolder_) {
             hard_throw_if(kv.second == th.tid, WorkloadError,
@@ -902,8 +898,13 @@ System::run()
         if (best.slot != core.current) {
             ThreadCtx &from = threads_[core.bound[core.current]];
             ThreadCtx &to = threads_[core.bound[best.slot]];
-            for (AccessObserver *obs : observers_)
-                obs->onContextSwitch(core.id, from.tid, to.tid, best.at);
+            Event ev;
+            ev.kind = EventKind::ContextSwitch;
+            ev.tid = to.tid;
+            ev.core = core.id;
+            ev.addr = from.tid;
+            ev.at = best.at;
+            notify(ev);
             if (tracer_ && tracer_->wants(kTraceSync)) {
                 Json args = Json::object();
                 args.set("from", from.tid);

@@ -7,8 +7,8 @@
  * Threads are assigned to cores round-robin. With at most one thread
  * per core the machine behaves like the paper's 4-thread/4-core
  * setup; with more threads than cores each core time-multiplexes its
- * thread set (quantum-based, with a context-switch penalty and an
- * onContextSwitch observer hook — the situation in which HARD's
+ * thread set (quantum-based, with a context-switch penalty and a
+ * ContextSwitch observer event — the situation in which HARD's
  * per-processor Lock/Counter Registers must be saved and restored by
  * the OS, §3.1).
  */
@@ -239,8 +239,13 @@ class System
     /** Perform the data access of @p op. */
     void doAccess(HwCore &core, ThreadCtx &th, Cycle now, const Op &op);
 
-    /** Notify observers of a data access. */
-    void notifyAccess(const MemEvent &ev);
+    /** Hand @p ev to every observer. */
+    void notify(const Event &ev);
+
+    /** Notify a @p kind sync event by @p th on @p core at @p at. */
+    void notifySync(EventKind kind, const HwCore &core,
+                    const ThreadCtx &th, Addr addr, SiteId site,
+                    Cycle at);
 
     /** Label the tracer's fixed tracks (cores, bus, sync, detector). */
     void nameTraceTracks();

@@ -192,123 +192,4 @@ peakRssBytes()
     return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
 
-// TimedObserver: each callback is timed with two steady_clock reads
-// and forwarded verbatim; the accumulated total is folded into the
-// profiler in one addPhase at flush time.
-#define HARD_TIMED_FORWARD(call)                                         \
-    do {                                                                 \
-        const auto t0 = std::chrono::steady_clock::now();                \
-        inner_->call;                                                    \
-        wallSeconds_ +=                                                  \
-            std::chrono::duration<double>(                               \
-                std::chrono::steady_clock::now() - t0)                   \
-                .count();                                                \
-        ++calls_;                                                        \
-    } while (0)
-
-void
-TimedObserver::onRead(const MemEvent &ev)
-{
-    HARD_TIMED_FORWARD(onRead(ev));
-}
-
-void
-TimedObserver::onWrite(const MemEvent &ev)
-{
-    HARD_TIMED_FORWARD(onWrite(ev));
-}
-
-void
-TimedObserver::onLockAcquire(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onLockAcquire(ev));
-}
-
-void
-TimedObserver::onLockRelease(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onLockRelease(ev));
-}
-
-void
-TimedObserver::onBarrier(const BarrierEvent &ev)
-{
-    HARD_TIMED_FORWARD(onBarrier(ev));
-}
-
-void
-TimedObserver::onSemaPost(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onSemaPost(ev));
-}
-
-void
-TimedObserver::onSemaWait(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onSemaWait(ev));
-}
-
-void
-TimedObserver::onRwLockAcquire(const SyncEvent &ev, bool writer)
-{
-    HARD_TIMED_FORWARD(onRwLockAcquire(ev, writer));
-}
-
-void
-TimedObserver::onRwLockRelease(const SyncEvent &ev, bool writer)
-{
-    HARD_TIMED_FORWARD(onRwLockRelease(ev, writer));
-}
-
-void
-TimedObserver::onCondSignal(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onCondSignal(ev));
-}
-
-void
-TimedObserver::onCondBroadcast(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onCondBroadcast(ev));
-}
-
-void
-TimedObserver::onCondWait(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onCondWait(ev));
-}
-
-void
-TimedObserver::onAtomicStore(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onAtomicStore(ev));
-}
-
-void
-TimedObserver::onAtomicLoad(const SyncEvent &ev)
-{
-    HARD_TIMED_FORWARD(onAtomicLoad(ev));
-}
-
-void
-TimedObserver::onThreadEnd(ThreadId tid, Cycle at)
-{
-    HARD_TIMED_FORWARD(onThreadEnd(tid, at));
-}
-
-void
-TimedObserver::onLineEvicted(Addr line_addr, Cycle at)
-{
-    HARD_TIMED_FORWARD(onLineEvicted(line_addr, at));
-}
-
-void
-TimedObserver::onContextSwitch(CoreId core, ThreadId from, ThreadId to,
-                               Cycle at)
-{
-    HARD_TIMED_FORWARD(onContextSwitch(core, from, to, at));
-}
-
-#undef HARD_TIMED_FORWARD
-
 } // namespace hard

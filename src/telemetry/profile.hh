@@ -144,7 +144,7 @@ profileCount(const char *name, std::uint64_t delta)
  * Forwarding observer that attributes replay dispatch time to one
  * detector. Wrapping each battery member lets a *single* joint replay
  * (identical event stream, identical trace-cache counters) produce a
- * per-detector cost breakdown: each callback is forwarded verbatim
+ * per-detector cost breakdown: each event is forwarded verbatim
  * and its wall time accumulated locally, folded into the profiler
  * once at flush()/destruction. Wall only — a per-event thread-CPU
  * syscall would dwarf what it measures. Only constructed when the
@@ -173,24 +173,17 @@ class TimedObserver : public AccessObserver
         wallSeconds_ = 0.0;
     }
 
-    void onRead(const MemEvent &ev) override;
-    void onWrite(const MemEvent &ev) override;
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
-    void onSemaPost(const SyncEvent &ev) override;
-    void onSemaWait(const SyncEvent &ev) override;
-    void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
-    void onRwLockRelease(const SyncEvent &ev, bool writer) override;
-    void onCondSignal(const SyncEvent &ev) override;
-    void onCondBroadcast(const SyncEvent &ev) override;
-    void onCondWait(const SyncEvent &ev) override;
-    void onAtomicStore(const SyncEvent &ev) override;
-    void onAtomicLoad(const SyncEvent &ev) override;
-    void onThreadEnd(ThreadId tid, Cycle at) override;
-    void onLineEvicted(Addr line_addr, Cycle at) override;
-    void onContextSwitch(CoreId core, ThreadId from, ThreadId to,
-                         Cycle at) override;
+    /** Forward @p ev, timed with two steady_clock reads. */
+    void
+    onEvent(const Event &ev) override
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        inner_->onEvent(ev);
+        wallSeconds_ += std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+        ++calls_;
+    }
 
   private:
     AccessObserver *inner_;

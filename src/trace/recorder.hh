@@ -23,118 +23,18 @@ class TraceRecorder : public AccessObserver
      */
     explicit TraceRecorder(const Program &prog) : prog_(&prog) {}
 
+    /**
+     * Store @p ev as the trace keeps it: no core (replay binds thread
+     * t to core t) and no context switches, so an in-memory recording
+     * replays exactly as its serialized bytes do.
+     */
     void
-    onRead(const MemEvent &ev) override
+    onEvent(const Event &ev) override
     {
-        record(TraceKind::Read, ev);
-    }
-
-    void
-    onWrite(const MemEvent &ev) override
-    {
-        record(TraceKind::Write, ev);
-    }
-
-    void
-    onLockAcquire(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::LockAcquire, ev);
-    }
-
-    void
-    onLockRelease(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::LockRelease, ev);
-    }
-
-    void
-    onSemaPost(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::SemaPost, ev);
-    }
-
-    void
-    onSemaWait(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::SemaWait, ev);
-    }
-
-    void
-    onRwLockAcquire(const SyncEvent &ev, bool writer) override
-    {
-        recordSync(writer ? TraceKind::RwWrAcquire
-                          : TraceKind::RwRdAcquire,
-                   ev);
-    }
-
-    void
-    onRwLockRelease(const SyncEvent &ev, bool writer) override
-    {
-        recordSync(writer ? TraceKind::RwWrRelease
-                          : TraceKind::RwRdRelease,
-                   ev);
-    }
-
-    void
-    onCondSignal(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::CondSignal, ev);
-    }
-
-    void
-    onCondBroadcast(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::CondBroadcast, ev);
-    }
-
-    void
-    onCondWait(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::CondWait, ev);
-    }
-
-    void
-    onAtomicStore(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::AtomicStore, ev);
-    }
-
-    void
-    onAtomicLoad(const SyncEvent &ev) override
-    {
-        recordSync(TraceKind::AtomicLoad, ev);
-    }
-
-    void
-    onBarrier(const BarrierEvent &ev) override
-    {
-        TraceEvent te;
-        te.kind = TraceKind::Barrier;
-        te.addr = ev.barrier;
-        te.at = ev.at;
-        te.episode = ev.episode;
-        te.participants = ev.participants;
-        trace_.events.push_back(te);
-    }
-
-    void
-    onLineEvicted(Addr line_addr, Cycle at) override
-    {
-        TraceEvent te;
-        te.kind = TraceKind::LineEvicted;
-        te.addr = line_addr;
-        te.at = at;
-        trace_.events.push_back(te);
-    }
-
-    void
-    onThreadEnd(ThreadId tid, Cycle at) override
-    {
-        TraceEvent te;
-        te.kind = TraceKind::ThreadEnd;
-        te.tid = tid;
-        te.at = at;
-        trace_.events.push_back(te);
+        if (ev.kind == EventKind::ContextSwitch)
+            return;
+        Event &te = trace_.events.emplace_back(ev);
+        te.core = te.tid;
     }
 
     /** Finish recording and take the trace (site table filled in). */
@@ -149,33 +49,6 @@ class TraceRecorder : public AccessObserver
     }
 
   private:
-    void
-    record(TraceKind kind, const MemEvent &ev)
-    {
-        TraceEvent te;
-        te.kind = kind;
-        te.tid = ev.tid;
-        te.addr = ev.addr;
-        te.size = ev.size;
-        te.site = ev.site;
-        te.at = ev.at;
-        te.stateAfter = ev.outcome.stateAfter;
-        te.sharers = ev.outcome.sharers;
-        trace_.events.push_back(te);
-    }
-
-    void
-    recordSync(TraceKind kind, const SyncEvent &ev)
-    {
-        TraceEvent te;
-        te.kind = kind;
-        te.tid = ev.tid;
-        te.addr = ev.lock;
-        te.site = ev.site;
-        te.at = ev.at;
-        trace_.events.push_back(te);
-    }
-
     const Program *prog_;
     Trace trace_;
 };

@@ -2,125 +2,16 @@
 
 #include <cstring>
 
-#include "common/logging.hh"
-
 namespace hard
 {
-
-namespace
-{
-
-/** Dispatch one decoded event exactly as the live simulation would. */
-inline void
-dispatchEvent(const TraceEvent &te,
-              const std::vector<AccessObserver *> &observers)
-{
-    switch (te.kind) {
-      case TraceKind::Read:
-      case TraceKind::Write: {
-        MemEvent ev;
-        ev.tid = te.tid;
-        ev.core = te.tid; // threads are core-bound in recordings
-        ev.addr = te.addr;
-        ev.size = te.size;
-        ev.write = te.kind == TraceKind::Write;
-        ev.site = te.site;
-        ev.at = te.at;
-        ev.outcome.stateAfter = te.stateAfter;
-        ev.outcome.sharers = te.sharers;
-        for (AccessObserver *obs : observers) {
-            if (ev.write)
-                obs->onWrite(ev);
-            else
-                obs->onRead(ev);
-        }
-        break;
-      }
-      case TraceKind::LockAcquire:
-      case TraceKind::LockRelease:
-      case TraceKind::SemaPost:
-      case TraceKind::SemaWait:
-      case TraceKind::RwRdAcquire:
-      case TraceKind::RwRdRelease:
-      case TraceKind::RwWrAcquire:
-      case TraceKind::RwWrRelease:
-      case TraceKind::CondSignal:
-      case TraceKind::CondBroadcast:
-      case TraceKind::CondWait:
-      case TraceKind::AtomicStore:
-      case TraceKind::AtomicLoad: {
-        SyncEvent ev{te.tid, te.tid, te.addr, te.site, te.at};
-        for (AccessObserver *obs : observers) {
-            switch (te.kind) {
-              case TraceKind::LockAcquire:
-                obs->onLockAcquire(ev);
-                break;
-              case TraceKind::LockRelease:
-                obs->onLockRelease(ev);
-                break;
-              case TraceKind::SemaPost:
-                obs->onSemaPost(ev);
-                break;
-              case TraceKind::RwRdAcquire:
-                obs->onRwLockAcquire(ev, false);
-                break;
-              case TraceKind::RwRdRelease:
-                obs->onRwLockRelease(ev, false);
-                break;
-              case TraceKind::RwWrAcquire:
-                obs->onRwLockAcquire(ev, true);
-                break;
-              case TraceKind::RwWrRelease:
-                obs->onRwLockRelease(ev, true);
-                break;
-              case TraceKind::CondSignal:
-                obs->onCondSignal(ev);
-                break;
-              case TraceKind::CondBroadcast:
-                obs->onCondBroadcast(ev);
-                break;
-              case TraceKind::CondWait:
-                obs->onCondWait(ev);
-                break;
-              case TraceKind::AtomicStore:
-                obs->onAtomicStore(ev);
-                break;
-              case TraceKind::AtomicLoad:
-                obs->onAtomicLoad(ev);
-                break;
-              default:
-                obs->onSemaWait(ev);
-                break;
-            }
-        }
-        break;
-      }
-      case TraceKind::Barrier: {
-        BarrierEvent ev{te.addr, te.episode, te.at,
-                        te.participants};
-        for (AccessObserver *obs : observers)
-            obs->onBarrier(ev);
-        break;
-      }
-      case TraceKind::ThreadEnd:
-        for (AccessObserver *obs : observers)
-            obs->onThreadEnd(te.tid, te.at);
-        break;
-      case TraceKind::LineEvicted:
-        for (AccessObserver *obs : observers)
-            obs->onLineEvicted(te.addr, te.at);
-        break;
-    }
-}
-
-} // namespace
 
 std::size_t
 replayTrace(const Trace &trace,
             const std::vector<AccessObserver *> &observers)
 {
-    for (const TraceEvent &te : trace.events)
-        dispatchEvent(te, observers);
+    for (const Event &ev : trace.events)
+        for (AccessObserver *obs : observers)
+            obs->onEvent(ev);
     return trace.events.size();
 }
 
@@ -131,9 +22,11 @@ replayPacked(const PackedTraceView &view,
     // Records may sit unaligned after the variable-length site table;
     // the per-record memcpy keeps the loads well-defined.
     for (std::uint64_t i = 0; i < view.nevents; ++i) {
-        TraceEvent::Packed p;
+        Event::Packed p;
         std::memcpy(&p, view.records + i * sizeof(p), sizeof(p));
-        dispatchEvent(TraceEvent::unpack(p), observers);
+        const Event ev = Event::unpack(p);
+        for (AccessObserver *obs : observers)
+            obs->onEvent(ev);
     }
     return view.nevents;
 }

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/logging.hh"
+#include "detectors/vclock.hh"
 
 namespace hard
 {
@@ -57,12 +58,14 @@ traceKindName(TraceKind k)
         return "AtomicStore";
       case TraceKind::AtomicLoad:
         return "AtomicLoad";
+      case TraceKind::ContextSwitch:
+        return "ContextSwitch";
     }
     return "?";
 }
 
-TraceEvent::Packed
-TraceEvent::pack() const
+Event::Packed
+Event::pack() const
 {
     Packed p{};
     p.kind = static_cast<std::uint8_t>(kind);
@@ -84,16 +87,17 @@ TraceEvent::pack() const
     return p;
 }
 
-TraceEvent
-TraceEvent::unpack(const Packed &p)
+Event
+Event::unpack(const Packed &p)
 {
-    TraceEvent ev;
+    Event ev;
     hard_fatal_if(
         p.kind > static_cast<std::uint8_t>(TraceKind::AtomicLoad),
         "trace: corrupt event kind %u", p.kind);
     ev.kind = static_cast<TraceKind>(p.kind);
     ev.size = p.size;
     ev.tid = p.tid == 0xff ? invalidThread : p.tid;
+    ev.core = ev.tid; // threads are core-bound in recordings
     ev.addr = p.addr;
     ev.at = p.at;
     if (ev.kind == TraceKind::Read || ev.kind == TraceKind::Write) {
@@ -113,7 +117,7 @@ unsigned
 Trace::threadCount() const
 {
     std::set<ThreadId> tids;
-    for (const TraceEvent &ev : events)
+    for (const Event &ev : events)
         if (ev.tid != invalidThread)
             tids.insert(ev.tid);
     return static_cast<unsigned>(tids.size());
@@ -147,8 +151,8 @@ serializeTrace(const Trace &trace)
 
     std::uint64_t nevents = trace.events.size();
     raw(&nevents, sizeof(nevents));
-    for (const TraceEvent &ev : trace.events) {
-        TraceEvent::Packed p = ev.pack();
+    for (const Event &ev : trace.events) {
+        Event::Packed p = ev.pack();
         raw(&p, sizeof(p));
     }
     return out;
@@ -206,20 +210,27 @@ openPackedTrace(std::string_view bytes, PackedTraceView *out,
     std::uint64_t nevents = 0;
     if (!raw(&nevents, sizeof(nevents)))
         return fail("truncated before events");
-    if ((bytes.size() - pos) / sizeof(TraceEvent::Packed) < nevents)
+    if ((bytes.size() - pos) / sizeof(Event::Packed) < nevents)
         return fail("truncated at event stream");
-    if (bytes.size() - pos != nevents * sizeof(TraceEvent::Packed))
+    if (bytes.size() - pos != nevents * sizeof(Event::Packed))
         return fail("trailing bytes past declared event count");
-    // Pre-validate every record's kind (the first byte) in one strided
+    // Pre-validate every record's kind and thread id in one strided
     // scan, so consumers of the view can decode without per-event
     // checks — and so a corrupt entry is rejected before a streaming
     // replay has dispatched half its events into live detectors.
+    // Barriers and line evictions carry no thread (tid byte 0xff).
     const char *rec = bytes.data() + pos;
-    for (std::uint64_t i = 0; i < nevents; ++i)
-        if (static_cast<std::uint8_t>(
-                rec[i * sizeof(TraceEvent::Packed)]) >
-            static_cast<std::uint8_t>(TraceKind::AtomicLoad))
+    for (std::uint64_t i = 0; i < nevents; ++i) {
+        const char *r = rec + i * sizeof(Event::Packed);
+        const auto kind = static_cast<std::uint8_t>(r[0]);
+        const auto tid = static_cast<std::uint8_t>(r[2]);
+        if (kind > static_cast<std::uint8_t>(EventKind::AtomicLoad))
             return fail("corrupt event kind");
+        if (tid >= kMaxThreads &&
+            kind != static_cast<std::uint8_t>(EventKind::Barrier) &&
+            kind != static_cast<std::uint8_t>(EventKind::LineEvicted))
+            return fail("corrupt thread id");
+    }
     view.records = rec;
     view.nevents = nevents;
     *out = std::move(view);
@@ -242,9 +253,9 @@ deserializeTrace(std::string_view bytes, Trace *out, std::string *err,
     // well-defined and compiles to plain unaligned moves.
     trace.events.resize(view.nevents);
     for (std::uint64_t i = 0; i < view.nevents; ++i) {
-        TraceEvent::Packed p;
+        Event::Packed p;
         std::memcpy(&p, view.records + i * sizeof(p), sizeof(p));
-        trace.events[i] = TraceEvent::unpack(p);
+        trace.events[i] = Event::unpack(p);
     }
     *out = std::move(trace);
     return true;

@@ -16,7 +16,7 @@
  *            u32 version (=1)
  *            u32 site count, then per site: u32 length + bytes
  *            u64 event count
- *   events:  24-byte records (see TraceEvent::Packed)
+ *   events:  24-byte records (see Event::Packed)
  */
 
 #ifndef HARD_TRACE_TRACE_HH
@@ -33,77 +33,37 @@
 namespace hard
 {
 
-/** Event kinds stored in a trace. */
-enum class TraceKind : std::uint8_t
-{
-    Read = 0,
-    Write = 1,
-    LockAcquire = 2,
-    LockRelease = 3,
-    Barrier = 4,
-    SemaPost = 5,
-    SemaWait = 6,
-    ThreadEnd = 7,
-    LineEvicted = 8,
-    RwRdAcquire = 9,
-    RwRdRelease = 10,
-    RwWrAcquire = 11,
-    RwWrRelease = 12,
-    CondSignal = 13,
-    CondBroadcast = 14,
-    CondWait = 15,
-    AtomicStore = 16,
-    /** Highest valid kind (bounds-checked on decode). */
-    AtomicLoad = 17,
-};
+/** The trace's names for the one event record (sim/observer.hh). */
+using TraceKind = EventKind;
+using TraceEvent = Event;
 
 /** @return printable name of @p k. */
-const char *traceKindName(TraceKind k);
+const char *traceKindName(EventKind k);
 
-/** One decoded trace event. */
-struct TraceEvent
+/**
+ * On-disk representation of an Event (24 bytes). The record keeps no
+ * core (replay binds thread t to core t) and no ContextSwitch kind.
+ */
+struct Event::Packed
 {
-    TraceKind kind = TraceKind::Read;
-    ThreadId tid = invalidThread;
-    Addr addr = 0;
-    unsigned size = 0;
-    SiteId site = invalidSite;
-    Cycle at = 0;
-    /** Memory events: coherence state after the access. */
-    CState stateAfter = CState::Invalid;
-    /** Memory events: L1 sharers after the access. */
-    unsigned sharers = 0;
-    /** Barrier events: episode ordinal. */
-    unsigned episode = 0;
-    /** Barrier events: participant count. */
-    unsigned participants = 0;
-
-    /** On-disk representation (24 bytes). */
-    struct Packed
-    {
-        std::uint8_t kind;
-        std::uint8_t size;
-        std::uint8_t tid;
-        /** Memory: (sharers << 2) | stateAfter. Barrier: participants. */
-        std::uint8_t aux;
-        /** Memory/sync: site. Barrier: episode. */
-        std::uint32_t site;
-        std::uint64_t addr;
-        std::uint64_t at;
-    };
-    static_assert(sizeof(Packed) == 24, "trace record must be 24 bytes");
-
-    /** Encode to the on-disk form. */
-    Packed pack() const;
-    /** Decode from the on-disk form. */
-    static TraceEvent unpack(const Packed &p);
+    std::uint8_t kind;
+    std::uint8_t size;
+    std::uint8_t tid;
+    /** Memory: (sharers << 2) | stateAfter. Barrier: participants. */
+    std::uint8_t aux;
+    /** Memory/sync: site. Barrier: episode. */
+    std::uint32_t site;
+    std::uint64_t addr;
+    std::uint64_t at;
 };
+static_assert(sizeof(Event::Packed) == 24, "trace record must be 24 bytes");
 
-/** In-memory trace: site names plus the event sequence. */
+/** In-memory trace: site names plus the event sequence (each event's
+ * core equals its tid, as on decode). */
 struct Trace
 {
     std::vector<std::string> siteNames;
-    std::vector<TraceEvent> events;
+    std::vector<Event> events;
 
     /** @return the number of distinct threads seen in the trace. */
     unsigned threadCount() const;
@@ -119,7 +79,7 @@ std::string serializeTrace(const Trace &trace);
  * Fully validated view over a serialized trace whose event records are
  * still in their packed on-disk form. The warm cache path replays
  * straight from this view (trace/replayer.hh, replayPacked) instead of
- * materializing a vector of ~2x-larger TraceEvents it would read once
+ * materializing a vector of 2x-larger Events it would read once
  * and throw away.
  *
  * @p records aliases the bytes handed to openPackedTrace(); the view
@@ -128,7 +88,7 @@ std::string serializeTrace(const Trace &trace);
 struct PackedTraceView
 {
     std::vector<std::string> siteNames;
-    /** nevents consecutive TraceEvent::Packed records. */
+    /** nevents consecutive Event::Packed records. */
     const char *records = nullptr;
     std::uint64_t nevents = 0;
 };
@@ -138,11 +98,11 @@ struct PackedTraceView
  * without decoding it.
  *
  * Every structural defect — bad magic, unsupported version, truncation
- * anywhere, corrupt event kinds, trailing garbage past the declared
- * event count — is reported through @p err instead of fatal(), so
- * callers holding untrusted bytes (the trace cache) can recover. On
- * success the whole stream is verified: consumers may decode the
- * records without further checks.
+ * anywhere, corrupt event kinds, thread ids past kMaxThreads, trailing
+ * garbage past the declared event count — is reported through @p err
+ * instead of fatal(), so callers holding untrusted bytes (the trace
+ * cache) can recover. On success the whole stream is verified:
+ * consumers may decode the records without further checks.
  *
  * @param out Filled only on success; aliases @p bytes.
  * @param err Human-readable failure description (set on failure).

@@ -67,8 +67,9 @@ class HandTrace
     void
     barrier(unsigned participants)
     {
-        BarrierEvent ev;
-        ev.barrier = 0xba00;
+        Event ev;
+        ev.kind = EventKind::Barrier;
+        ev.addr = 0xba00;
         ev.episode = episode_++;
         ev.at = ++at_;
         ev.participants = participants;
@@ -76,27 +77,27 @@ class HandTrace
     }
 
   private:
-    MemEvent
+    Event
     mem(ThreadId tid, Addr addr, bool write, SiteId site)
     {
-        MemEvent ev;
+        Event ev;
+        ev.kind = write ? EventKind::Write : EventKind::Read;
         ev.tid = tid;
         ev.core = tid;
         ev.addr = addr;
         ev.size = 4;
-        ev.write = write;
         ev.site = site;
         ev.at = ++at_;
         return ev;
     }
 
-    SyncEvent
+    Event
     sync(ThreadId tid, Addr obj)
     {
-        SyncEvent ev;
+        Event ev;
         ev.tid = tid;
         ev.core = tid;
-        ev.lock = obj;
+        ev.addr = obj;
         ev.at = ++at_;
         return ev;
     }

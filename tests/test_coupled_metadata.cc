@@ -26,9 +26,9 @@ TEST(CoupledMetadata, EvictionEventsFireOnL2Displacement)
     {
         std::uint64_t n = 0;
         void
-        onLineEvicted(Addr, Cycle) override
+        onEvent(const Event &ev) override
         {
-            ++n;
+            n += ev.kind == EventKind::LineEvicted;
         }
     };
 

@@ -6,13 +6,15 @@
  * sets, dynamic counts, explain attributions, and whole hard.batch.v2
  * documents (the only permitted difference is the top-level
  * "mode":"fast" marker). Both the cold path (record + store) and the
- * warm path (cache-hit replay) are held to the same bar.
+ * warm path (cache-hit replay) are held to the same bar, on the
+ * default core count and with threads oversubscribed onto 2 cores.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -75,28 +77,49 @@ sixDetectors()
     };
 }
 
-std::vector<std::string>
+/** One identity case: a workload on the default core count (cores ==
+ * 0) or on @c cores cores, fewer than its threads. */
+struct IdentityCase
+{
+    std::string workload;
+    unsigned cores = 0;
+};
+
+/** Default-core cases print as their bare workload name. */
+void
+PrintTo(const IdentityCase &c, std::ostream *os)
+{
+    *os << '"' << c.workload << '"';
+    if (c.cores != 0)
+        *os << " on " << c.cores << " cores";
+}
+
+std::vector<IdentityCase>
 allRegisteredWorkloads()
 {
-    std::vector<std::string> names;
-    for (const WorkloadInfo &w : allWorkloads())
-        names.push_back(w.name);
-    for (const WorkloadInfo &w : extensionWorkloads())
-        names.push_back(w.name);
-    return names;
+    std::vector<IdentityCase> cases;
+    for (unsigned cores : {0u, 2u}) {
+        for (const WorkloadInfo &w : allWorkloads())
+            cases.push_back({w.name, cores});
+        for (const WorkloadInfo &w : extensionWorkloads())
+            cases.push_back({w.name, cores});
+    }
+    return cases;
 }
 
 std::string
-runDump(const std::string &workload, unsigned index, unsigned num_runs,
+runDump(const IdentityCase &c, unsigned index, unsigned num_runs,
         std::uint64_t seed0, ExecMode mode, TraceCache *cache)
 {
     const WorkloadParams wp = tinyParams();
-    const SharedMap shared(buildWorkload(workload, wp));
+    const SharedMap shared(buildWorkload(c.workload, wp));
     const HardConfig explain_hard{};
+    SimConfig sim = defaultSimConfig();
+    if (c.cores != 0)
+        sim.memsys.numCores = c.cores;
     EffectivenessRun run = runEffectivenessUnit(
-        workload, wp, defaultSimConfig(), sixDetectors(), index, num_runs,
-        seed0, shared, /*collect_stats=*/false, &explain_hard, mode,
-        cache);
+        c.workload, wp, sim, sixDetectors(), index, num_runs, seed0,
+        shared, /*collect_stats=*/false, &explain_hard, mode, cache);
     return toJson(run).dump(2);
 }
 
@@ -104,14 +127,16 @@ runDump(const std::string &workload, unsigned index, unsigned num_runs,
 // Per-unit identity: every workload, injected + race-free units,
 // several seeds, explain attributions included
 
-class FastModeIdentity : public ::testing::TestWithParam<std::string>
+class FastModeIdentity : public ::testing::TestWithParam<IdentityCase>
 {
 };
 
 TEST_P(FastModeIdentity, ColdAndWarmFastRunsMatchCycleExactly)
 {
-    const std::string workload = GetParam();
-    TraceCache cache(freshCacheDir("fast_identity_" + workload));
+    const IdentityCase &param = GetParam();
+    const std::string workload = param.workload;
+    TraceCache cache(freshCacheDir("fast_identity_" + workload + "_" +
+                                   std::to_string(param.cores)));
 
     constexpr unsigned kRuns = 2;
     for (std::uint64_t seed0 : {500ull, 1000ull}) {
@@ -119,15 +144,12 @@ TEST_P(FastModeIdentity, ColdAndWarmFastRunsMatchCycleExactly)
         for (unsigned index = 0; index <= kRuns; ++index) {
             SCOPED_TRACE(workload + " seed0=" + std::to_string(seed0) +
                          " unit " + std::to_string(index));
-            const std::string cycle = runDump(workload, index, kRuns,
-                                              seed0, ExecMode::Cycle,
-                                              nullptr);
-            const std::string cold = runDump(workload, index, kRuns,
-                                             seed0, ExecMode::Fast,
-                                             &cache);
-            const std::string warm = runDump(workload, index, kRuns,
-                                             seed0, ExecMode::Fast,
-                                             &cache);
+            const std::string cycle = runDump(param, index, kRuns, seed0,
+                                              ExecMode::Cycle, nullptr);
+            const std::string cold = runDump(param, index, kRuns, seed0,
+                                             ExecMode::Fast, &cache);
+            const std::string warm = runDump(param, index, kRuns, seed0,
+                                             ExecMode::Fast, &cache);
             EXPECT_EQ(cycle, cold);
             EXPECT_EQ(cycle, warm);
         }
@@ -146,10 +168,14 @@ TEST_P(FastModeIdentity, ColdAndWarmFastRunsMatchCycleExactly)
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, FastModeIdentity,
                          ::testing::ValuesIn(allRegisteredWorkloads()),
                          [](const auto &info) {
-                             std::string n = info.param;
+                             std::string n = info.param.workload;
                              for (char &ch : n)
                                  if (ch == '-')
                                      ch = '_';
+                             if (info.param.cores != 0)
+                                 n += "_" +
+                                     std::to_string(info.param.cores) +
+                                     "cores";
                              return n;
                          });
 

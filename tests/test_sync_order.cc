@@ -77,9 +77,9 @@ class ThreadIdBound : public ::testing::TestWithParam<BoundParam>
 TEST_P(ThreadIdBound, SyncHookPanicsOnOutOfRangeThread)
 {
     const auto &[det, kind] = GetParam();
-    SyncEvent ev;
+    Event ev;
     ev.tid = kMaxThreads;
-    ev.lock = kObj;
+    ev.addr = kObj;
     const char *msg = "thread id 8 too large";
     static_assert(kMaxThreads == 8, "update the expected message");
 

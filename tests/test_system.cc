@@ -30,44 +30,21 @@ class Recorder : public AccessObserver
     std::vector<Entry> log;
 
     void
-    onRead(const MemEvent &ev) override
+    onEvent(const Event &ev) override
     {
-        log.push_back({'r', ev.tid, ev.addr, ev.at});
-    }
-    void
-    onWrite(const MemEvent &ev) override
-    {
-        log.push_back({'w', ev.tid, ev.addr, ev.at});
-    }
-    void
-    onLockAcquire(const SyncEvent &ev) override
-    {
-        log.push_back({'L', ev.tid, ev.lock, ev.at});
-    }
-    void
-    onLockRelease(const SyncEvent &ev) override
-    {
-        log.push_back({'U', ev.tid, ev.lock, ev.at});
-    }
-    void
-    onBarrier(const BarrierEvent &ev) override
-    {
-        log.push_back({'B', invalidThread, ev.barrier, ev.at});
-    }
-    void
-    onSemaPost(const SyncEvent &ev) override
-    {
-        log.push_back({'P', ev.tid, ev.lock, ev.at});
-    }
-    void
-    onSemaWait(const SyncEvent &ev) override
-    {
-        log.push_back({'S', ev.tid, ev.lock, ev.at});
-    }
-    void
-    onThreadEnd(ThreadId tid, Cycle at) override
-    {
-        log.push_back({'E', tid, 0, at});
+        char kind;
+        switch (ev.kind) {
+          case EventKind::Read: kind = 'r'; break;
+          case EventKind::Write: kind = 'w'; break;
+          case EventKind::LockAcquire: kind = 'L'; break;
+          case EventKind::LockRelease: kind = 'U'; break;
+          case EventKind::Barrier: kind = 'B'; break;
+          case EventKind::SemaPost: kind = 'P'; break;
+          case EventKind::SemaWait: kind = 'S'; break;
+          case EventKind::ThreadEnd: kind = 'E'; break;
+          default: return;
+        }
+        log.push_back({kind, ev.tid, ev.addr, ev.at});
     }
 };
 
@@ -366,10 +343,10 @@ class SwitchRecorder : public AccessObserver
     std::vector<Switch> switches;
 
     void
-    onContextSwitch(CoreId core, ThreadId from, ThreadId to,
-                    Cycle at) override
+    onEvent(const Event &ev) override
     {
-        switches.push_back({core, from, to, at});
+        if (ev.kind == EventKind::ContextSwitch)
+            switches.push_back({ev.core, ev.switchedOut(), ev.tid, ev.at});
     }
 };
 

@@ -6,6 +6,9 @@
  */
 
 #include <cstdio>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +138,88 @@ TEST(TraceFileDeath, RejectsTruncatedEvents)
     std::remove(path.c_str());
 }
 
+/**
+ * A trace whose thread-carrying records all name real threads, with
+ * one Barrier and one LineEvicted record (which carry no thread, tid
+ * byte 0xff).
+ */
+Trace
+threadIdFixture()
+{
+    Trace t;
+    t.siteNames = {"s"};
+    TraceEvent ev;
+    ev.kind = TraceKind::Read;
+    ev.tid = 0;
+    ev.size = 4;
+    ev.site = 0;
+    t.events.push_back(ev);
+    TraceEvent bar;
+    bar.kind = TraceKind::Barrier;
+    bar.participants = 2;
+    t.events.push_back(bar);
+    TraceEvent evict;
+    evict.kind = TraceKind::LineEvicted;
+    evict.addr = 0x40;
+    t.events.push_back(evict);
+    ev.kind = TraceKind::Write;
+    ev.tid = 1;
+    t.events.push_back(ev);
+    return t;
+}
+
+/** @return @p bytes with record @p i's tid byte set to @p tid. */
+std::string
+patchTid(std::string bytes, std::size_t nevents, std::size_t i,
+         std::uint8_t tid)
+{
+    const std::size_t rec = sizeof(TraceEvent::Packed);
+    bytes[bytes.size() - (nevents - i) * rec + 2] =
+        static_cast<char>(tid);
+    return bytes;
+}
+
+TEST(TraceValidation, OutOfRangeThreadIdIsRejected)
+{
+    const Trace t = threadIdFixture();
+    const std::string good = serializeTrace(t);
+    PackedTraceView view;
+    std::string err;
+    ASSERT_TRUE(openPackedTrace(good, &view, &err)) << err;
+
+    for (std::size_t i : {std::size_t{0}, std::size_t{3}}) {
+        for (unsigned tid : {8u, 200u, 0xffu}) {
+            SCOPED_TRACE("record " + std::to_string(i) + " tid " +
+                         std::to_string(tid));
+            const std::string bad = patchTid(
+                good, t.events.size(), i, static_cast<std::uint8_t>(tid));
+            err.clear();
+            EXPECT_FALSE(openPackedTrace(bad, &view, &err));
+            EXPECT_EQ(err, "corrupt thread id");
+            Trace out;
+            err.clear();
+            EXPECT_FALSE(deserializeTrace(bad, &out, &err));
+            EXPECT_EQ(err, "corrupt thread id");
+        }
+    }
+}
+
+TEST(TraceFileDeath, RejectsOutOfRangeThreadId)
+{
+    const Trace t = threadIdFixture();
+    const std::string path = tmpPath("badtid");
+    {
+        const std::string bad =
+            patchTid(serializeTrace(t), t.events.size(), 0, 200);
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        std::fwrite(bad.data(), 1, bad.size(), f);
+        std::fclose(f);
+    }
+    EXPECT_EXIT(readTrace(path), ::testing::ExitedWithCode(1),
+                "corrupt thread id");
+    std::remove(path.c_str());
+}
+
 TEST(TraceFileDeath, MissingFileIsFatal)
 {
     EXPECT_EXIT(readTrace("/nonexistent/dir/x.trc"),
@@ -200,6 +285,116 @@ INSTANTIATE_TEST_SUITE_P(Apps, TraceReplayFidelity,
                          ::testing::Values("cholesky", "barnes", "fmm",
                                            "ocean", "water-nsquared",
                                            "raytrace", "server"));
+
+/** Observer keeping every event it sees. */
+struct EventSequence final : AccessObserver
+{
+    std::vector<Event> events;
+
+    void onEvent(const Event &ev) override { events.push_back(ev); }
+};
+
+/**
+ * A 4-thread program that issues every op kind; run on 2 cores with a
+ * small L2 it also produces context switches and line evictions.
+ */
+Program
+everyKindProgram()
+{
+    WorkloadBuilder b("every-kind", 4);
+    const LockAddr lock = b.allocLock("lock");
+    const LockAddr rw = b.allocRwLock("rw");
+    const Addr sema = b.allocSema("sema");
+    const Addr cond = b.allocCond("cond");
+    const Addr latch = b.allocCond("latch");
+    const Addr flag = b.allocAtomic("flag");
+    const Addr bar = b.allocBarrier("bar");
+    const Addr x = b.alloc("x", 64, 32);
+    const Addr buf = b.alloc("buf", 32 * 1024, 32);
+    const SiteId s = b.site("s");
+
+    b.lock(0, lock, s);
+    b.write(0, x, 8, s);
+    b.unlock(0, lock, s);
+    b.rdlock(0, rw, s);
+    b.read(0, x + 32, 8, s);
+    b.rdunlock(0, rw, s);
+    b.semaPost(0, sema, s);
+    b.condSignal(0, cond, s);
+    b.atomicStore(0, flag, s);
+    for (Addr a = buf; a < buf + 32 * 1024; a += 32)
+        b.read(0, a, 8, s);
+
+    b.semaWait(1, sema, s);
+    b.wrlock(1, rw, s);
+    b.write(1, x + 32, 8, s);
+    b.wrunlock(1, rw, s);
+    b.condWait(1, cond, s);
+    b.atomicLoad(1, flag, s);
+
+    b.condWait(2, latch, s);
+    b.read(2, x, 8, s);
+    b.condBroadcast(3, latch, s);
+    b.compute(3, 5000);
+
+    b.barrierAll(bar, s);
+    for (ThreadId t = 0; t < 4; ++t)
+        b.read(t, x, 8, s);
+    return b.finish();
+}
+
+/**
+ * One record end to end: the events a live run hands its observers
+ * come back from the serialized trace field for field. Replay binds
+ * thread t to core t and the trace keeps no context switches; nothing
+ * else may differ.
+ */
+TEST(EventRoundTrip, ReplayedEventsEqualLiveEvents)
+{
+    const Program prog = everyKindProgram();
+    SimConfig cfg;
+    cfg.memsys.numCores = 2;
+    cfg.memsys.l2.sizeBytes = 8 * 1024;
+    TraceRecorder recorder(prog);
+    EventSequence live;
+    {
+        System sys(cfg, prog);
+        sys.addObserver(&recorder);
+        sys.addObserver(&live);
+        sys.run();
+    }
+
+    std::set<EventKind> kinds;
+    std::vector<Event> expected;
+    for (Event ev : live.events) {
+        kinds.insert(ev.kind);
+        if (ev.kind == EventKind::ContextSwitch)
+            continue;
+        ev.core = ev.tid;
+        expected.push_back(ev);
+    }
+    for (unsigned k = 0; k <= static_cast<unsigned>(EventKind::ContextSwitch);
+         ++k)
+        EXPECT_EQ(kinds.count(static_cast<EventKind>(k)), 1u)
+            << traceKindName(static_cast<EventKind>(k));
+
+    const Trace trace = recorder.take();
+    const std::string bytes = serializeTrace(trace);
+    PackedTraceView view;
+    std::string err;
+    ASSERT_TRUE(openPackedTrace(bytes, &view, &err)) << err;
+    EventSequence packed;
+    EXPECT_EQ(replayPacked(view, {&packed}), expected.size());
+    EventSequence unpacked;
+    EXPECT_EQ(replayTrace(trace, {&unpacked}), expected.size());
+
+    ASSERT_EQ(packed.events.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(packed.events[i], expected[i])
+            << "event " << i << " "
+            << traceKindName(expected[i].kind);
+    EXPECT_EQ(unpacked.events, expected);
+}
 
 } // namespace
 } // namespace hard

@@ -354,25 +354,27 @@ struct EventLog final : AccessObserver
         lines.push_back(buf);
     }
 
-    void onRead(const MemEvent &ev) override
+    void onEvent(const Event &ev) override
     {
-        add("read", ev.tid, ev.addr, ev.at);
-    }
-    void onWrite(const MemEvent &ev) override
-    {
-        add("write", ev.tid, ev.addr, ev.at);
-    }
-    void onLockAcquire(const SyncEvent &ev) override
-    {
-        add("acq", ev.tid, ev.lock, ev.at);
-    }
-    void onLockRelease(const SyncEvent &ev) override
-    {
-        add("rel", ev.tid, ev.lock, ev.at);
-    }
-    void onThreadEnd(ThreadId tid, Cycle at) override
-    {
-        add("end", tid, 0, at);
+        switch (ev.kind) {
+          case EventKind::Read:
+            add("read", ev.tid, ev.addr, ev.at);
+            break;
+          case EventKind::Write:
+            add("write", ev.tid, ev.addr, ev.at);
+            break;
+          case EventKind::LockAcquire:
+            add("acq", ev.tid, ev.addr, ev.at);
+            break;
+          case EventKind::LockRelease:
+            add("rel", ev.tid, ev.addr, ev.at);
+            break;
+          case EventKind::ThreadEnd:
+            add("end", ev.tid, 0, ev.at);
+            break;
+          default:
+            break;
+        }
     }
 };
 
@@ -423,6 +425,28 @@ TEST(TraceCacheStreaming, CorruptEntryIsEvictedBeforeAnyDispatch)
     EXPECT_TRUE(log.lines.empty());
     EXPECT_EQ(cache.counters().evictedCorrupt, 1u);
     EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(TraceCacheStreaming, OutOfRangeThreadIdIsEvictedBeforeAnyDispatch)
+{
+    TraceCache cache(tmpDir("tcache_stream_badtid"));
+    const TraceKey key = fixtureKey();
+    // An intact container (the checksum matches) whose payload names a
+    // thread no detector can index.
+    Trace bad = fixtureTrace();
+    bad.events[3].tid = 200;
+    cache.store(key, bad);
+
+    EventLog log;
+    EXPECT_FALSE(cache.replayCached(key, {&log}).has_value());
+    EXPECT_TRUE(log.lines.empty());
+    EXPECT_EQ(cache.counters().evictedCorrupt, 1u);
+    EXPECT_FALSE(std::filesystem::exists(cache.pathFor(key)));
+
+    // The slot is re-recorded, then hits.
+    cache.store(key, fixtureTrace());
+    EXPECT_TRUE(cache.replayCached(key, {&log}).has_value());
+    EXPECT_FALSE(log.lines.empty());
 }
 
 TEST(TraceCacheStreaming, StaleContainerIsAMissThenReRecord)

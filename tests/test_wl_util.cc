@@ -120,7 +120,7 @@ TEST(DetectorAccessDeath, AccessCrossingAMetadataLinePanics)
 {
     // A trace read from disk can carry any access; one that leaves its
     // 32-byte line would index past the line's granules.
-    MemEvent ev;
+    Event ev;
     ev.tid = 0;
     ev.core = 0;
     ev.addr = 0x101c;
