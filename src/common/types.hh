@@ -42,6 +42,13 @@ constexpr SiteId invalidSite = std::numeric_limits<SiteId>::max();
 /** Sentinel address. */
 constexpr Addr invalidAddr = std::numeric_limits<Addr>::max();
 
+/**
+ * Cache line size of every simulated program (Table 1). No data access
+ * crosses a line: WorkloadBuilder rejects such a program and
+ * openPackedTrace() such a trace.
+ */
+constexpr unsigned kLineBytes = 32;
+
 } // namespace hard
 
 #endif // HARD_COMMON_TYPES_HH

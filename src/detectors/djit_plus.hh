@@ -2,11 +2,12 @@
  * @file
  * DJIT+ vector-clock race detector (Pozniansky & Schuster, PPoPP'03).
  *
- * Where the baseline HappensBeforeDetector keeps only the *last* write
- * as a scalar epoch (clearing read history on every store), DJIT+
- * keeps a full write vector clock and a full read vector clock per
- * granule: component u holds the clock of thread u's most recent
- * write (resp. read) to the granule. A read races with any unordered
+ * Where the epoch engine (EpochHbDetector, which HappensBeforeDetector
+ * and FastTrackDetector run) keeps only the *last* write as a scalar
+ * epoch and clears the read history on every store, DJIT+ keeps a
+ * full write vector clock and a full read vector clock per granule:
+ * component u holds the clock of thread u's most recent write (resp.
+ * read) to the granule. A read races with any unordered
  * prior write; a write races with any unordered prior write or read.
  *
  * Keeping the whole vectors makes DJIT+ strictly more complete per

@@ -10,7 +10,7 @@ namespace hard
 
 HappensBeforeDetector::HappensBeforeDetector(const std::string &name,
                                              const HbConfig &cfg)
-    : ClockedDetector(name),
+    : EpochHbDetector(name),
       cfg_(cfg),
       meta_(cfg.metaGeometry, cfg.unbounded,
             metaGranulesPerLine("hb", cfg.metaGeometry,
@@ -23,7 +23,7 @@ HappensBeforeDetector::access(const Event &ev, bool write)
 {
     const VClock &vc = clock(ev.tid);
     bool fresh = false;
-    Granule *line = meta_.lookup(ev.addr, fresh);
+    EpochGranule *line = meta_.lookup(ev.addr, fresh);
 
     const unsigned gran = cfg_.granularityBytes;
     const int shift = std::countr_zero(gran);
@@ -34,42 +34,8 @@ HappensBeforeDetector::access(const Event &ev, bool write)
                   "hb: access %llx+%u crosses a metadata line",
                   static_cast<unsigned long long>(ev.addr), ev.size);
 
-    for (Addr a = lo; a < hi; a += gran) {
-        Granule &g = line[(a - line_base) >> shift];
-
-        bool race = !g.lastWrite.ordered(vc);
-        ThreadId other = race ? g.lastWrite.tid : invalidThread;
-        if (write && !race) {
-            for (unsigned u = 0; u < kMaxThreads; ++u) {
-                if (u != ev.tid && g.readClk[u] > vc[u]) {
-                    race = true;
-                    other = static_cast<ThreadId>(u);
-                    break;
-                }
-            }
-        }
-        if (race)
-            emit(ev.tid, a, gran, ev.site, write, ev.at, other);
-
-        if (write) {
-            g.lastWrite = Epoch{ev.tid, vc[ev.tid]};
-            g.readClk.fill(0);
-        } else {
-            g.readClk[ev.tid] = vc[ev.tid];
-        }
-    }
-}
-
-void
-HappensBeforeDetector::onRead(const Event &ev)
-{
-    access(ev, false);
-}
-
-void
-HappensBeforeDetector::onWrite(const Event &ev)
-{
-    access(ev, true);
+    for (Addr a = lo; a < hi; a += gran)
+        apply(line[(a - line_base) >> shift], ev, vc, a, gran, write);
 }
 
 } // namespace hard

@@ -1,28 +1,124 @@
 /**
  * @file
- * Happens-before race detector — the comparison baseline of the paper.
+ * Happens-before race detector — the comparison baseline of the paper —
+ * and the one epoch engine it shares with FastTrackDetector.
  *
- * Timestamps are kept per granule (default: cache-line granularity, in
- * cache-limited storage, mirroring how the paper's hardware
- * happens-before implementation stores timestamps in cache lines and
- * loses them on L2 displacement). The "ideal" variant uses 4-byte
- * granules and unbounded storage.
+ * The engine is FastTrack's (Flanagan & Freund, PLDI'09): per granule
+ * a last-write epoch and a read epoch that inflates to a full read
+ * vector only while reads are genuinely concurrent, so the common case
+ * does O(1) work instead of O(threads). Lock release->acquire, barrier
+ * episodes and the other SyncOrder edges create the synchronization
+ * order.
  *
- * The algorithm is DJIT+/FastTrack-style: a last-write epoch and a
- * per-thread read clock per granule; lock release->acquire and barrier
- * episodes create the synchronization order.
+ * HappensBeforeDetector keeps its granules in a MetaCache (default:
+ * cache-line granularity, in cache-limited storage, mirroring how the
+ * paper's hardware happens-before implementation stores timestamps in
+ * cache lines and loses them on L2 displacement). The "ideal" variant
+ * uses 4-byte granules and unbounded storage.
  */
 
 #ifndef HARD_DETECTORS_HAPPENS_BEFORE_HH
 #define HARD_DETECTORS_HAPPENS_BEFORE_HH
 
-#include <array>
+#include <memory>
 
 #include "detectors/meta_cache.hh"
 #include "detectors/sync_order.hh"
 
 namespace hard
 {
+
+/** FastTrack's shadow state of one granule. */
+struct EpochGranule
+{
+    Epoch lastWrite{};
+    /** Read epoch (valid while not inflated). */
+    Epoch lastRead{};
+    /** Inflated read vector (allocated only when needed). */
+    std::unique_ptr<VClock> readVc;
+
+    /** Epochs survive barriers: the barrier's clock join orders them. */
+    void barrierReset() {}
+};
+
+/**
+ * FastTrack's epoch rules over EpochGranules. A subclass owns the
+ * storage and passes every granule an access touches to apply().
+ */
+class EpochHbDetector : public ClockedDetector
+{
+  public:
+    using ClockedDetector::ClockedDetector;
+
+    /** @return reads handled on the O(1) single-epoch fast path. */
+    std::uint64_t fastPathReads() const { return fastReads_; }
+
+    /** @return read epochs inflated to a read vector so far. */
+    std::uint64_t inflations() const { return inflations_; }
+
+  protected:
+    /**
+     * Check and record @p ev's access to granule @p g, whose base is
+     * @p a and size @p gran; @p vc is the accessing thread's clock.
+     */
+    void
+    apply(EpochGranule &g, const Event &ev, const VClock &vc, Addr a,
+          unsigned gran, bool write)
+    {
+        // Write-write / read-write with the last writer.
+        bool race = !g.lastWrite.ordered(vc);
+        ThreadId other = race ? g.lastWrite.tid : invalidThread;
+
+        if (write) {
+            // A write must also be ordered after every read.
+            if (!race) {
+                if (g.readVc) {
+                    for (unsigned u = 0; u < kMaxThreads && !race; ++u) {
+                        if (u != ev.tid && (*g.readVc)[u] > vc[u]) {
+                            race = true;
+                            other = static_cast<ThreadId>(u);
+                        }
+                    }
+                } else if (g.lastRead.tid != ev.tid &&
+                           !g.lastRead.ordered(vc)) {
+                    race = true;
+                    other = g.lastRead.tid;
+                }
+            }
+            if (race)
+                emit(ev.tid, a, gran, ev.site, write, ev.at, other);
+            // The write shadows every previous read.
+            g.lastWrite = Epoch{ev.tid, vc[ev.tid]};
+            g.lastRead = Epoch{};
+            g.readVc.reset();
+            return;
+        }
+
+        if (race)
+            emit(ev.tid, a, gran, ev.site, write, ev.at, other);
+
+        if (g.readVc) {
+            // Already inflated: O(threads) slow path.
+            (*g.readVc)[ev.tid] = vc[ev.tid];
+        } else if (g.lastRead.ordered(vc)) {
+            // The first read, or one ordered after the last (a
+            // same-thread read always is): one epoch still suffices.
+            g.lastRead = Epoch{ev.tid, vc[ev.tid]};
+            ++fastReads_;
+        } else {
+            // Concurrent reads: inflate to a read vector.
+            g.readVc = std::make_unique<VClock>();
+            (*g.readVc)[g.lastRead.tid] = g.lastRead.clk;
+            (*g.readVc)[ev.tid] = vc[ev.tid];
+            g.lastRead = Epoch{};
+            ++inflations_;
+        }
+    }
+
+  private:
+    std::uint64_t fastReads_ = 0;
+    std::uint64_t inflations_ = 0;
+};
 
 /** Configuration of a happens-before detector instance. */
 struct HbConfig
@@ -48,8 +144,8 @@ struct HbConfig
     }
 };
 
-/** Vector-clock happens-before detector. */
-class HappensBeforeDetector : public ClockedDetector
+/** Epoch happens-before detector on cache-geometry storage. */
+class HappensBeforeDetector : public EpochHbDetector
 {
   public:
     /**
@@ -58,8 +154,8 @@ class HappensBeforeDetector : public ClockedDetector
      */
     HappensBeforeDetector(const std::string &name, const HbConfig &cfg);
 
-    void onRead(const Event &ev) override;
-    void onWrite(const Event &ev) override;
+    void onRead(const Event &ev) override { access(ev, false); }
+    void onWrite(const Event &ev) override { access(ev, true); }
 
     /** @return timestamp lines displaced (history lost). */
     std::uint64_t metadataEvictions() const { return meta_.evictions(); }
@@ -67,22 +163,11 @@ class HappensBeforeDetector : public ClockedDetector
     const HbConfig &config() const { return cfg_; }
 
   private:
-    /** Shadow state of one granule. */
-    struct Granule
-    {
-        Epoch lastWrite{};
-        std::array<std::uint32_t, kMaxThreads> readClk{};
-
-        /** Timestamps survive barriers: the barrier's clock join
-         * orders them. */
-        void barrierReset() {}
-    };
-
     /** Apply one access to every granule it overlaps. */
     void access(const Event &ev, bool write);
 
     HbConfig cfg_;
-    MetaCache<Granule> meta_;
+    MetaCache<EpochGranule> meta_;
 };
 
 } // namespace hard

@@ -28,7 +28,6 @@
 #ifndef HARD_DETECTORS_META_CACHE_HH
 #define HARD_DETECTORS_META_CACHE_HH
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -70,10 +69,12 @@ metaGranulesPerLine(const char *who, const CacheConfig &geom,
  * Set-associative (or unbounded) store of per-granule detector
  * metadata, grouped by cache line.
  *
- * @tparam T Metadata of one granule. A default-constructed T is the
- * "fresh" state a granule has after its line is (re)fetched with no
- * surviving metadata; T::barrierReset() forgets what a barrier
- * discards (it is called only after onBarrier()).
+ * @tparam T Metadata of one granule; it may be move-only (a refill
+ * move-assigns a fresh T over the displaced line's granules, which
+ * frees what they owned). A default-constructed T is the "fresh"
+ * state a granule has after its line is (re)fetched with no surviving
+ * metadata; T::barrierReset() forgets what a barrier discards (it is
+ * called only after onBarrier()).
  */
 template <typename T>
 class MetaCache
@@ -159,10 +160,8 @@ class MetaCache
         tag(victim) = line;
         lastUse_[victim] = ++useClock_;
         stamps_[victim] = epoch_;
-        T *g = &data_[victim * granules_];
-        std::fill(g, g + granules_, T{});
         fresh = true;
-        return g;
+        return clear(&data_[victim * granules_]);
     }
 
     /** @return the first granule of @p addr's line if resident, else
@@ -350,6 +349,15 @@ class MetaCache
         return g;
     }
 
+    /** Make @p g's granules fresh (T may be move-only). */
+    T *
+    clear(T *g)
+    {
+        for (unsigned k = 0; k < granules_; ++k)
+            g[k] = T{};
+        return g;
+    }
+
     /** @return way @p way's granules, current. */
     T *
     current(std::size_t way)
@@ -420,9 +428,8 @@ class MetaCache
         }
         p.present |= std::uint64_t{1} << slot;
         p.stamps[slot] = epoch_;
-        std::fill(g, g + granules_, T{});
         ++resident_;
-        return g;
+        return clear(g);
     }
 
     CacheConfig geom_;

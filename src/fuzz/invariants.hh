@@ -25,10 +25,14 @@
  *  - lockset-matches-oracle: the production exact-lockset detector
  *    must agree exactly with the independent reference implementation
  *    replayed over the recorded trace (both granularities).
- *  - hb-matches-oracle: the production vector-clock happens-before
- *    detector must agree exactly with the independent reference.
- *  - hb-matches-fasttrack: FastTrack's adaptive read epochs are
+ *  - hb-matches-oracle: the production epoch happens-before detector
+ *    must agree exactly with the independent full-read-vector
+ *    reference: FastTrack's adaptive read epochs are
  *    detection-equivalent to full read vectors (Flanagan & Freund).
+ *  - hb-matches-fasttrack: HappensBeforeDetector and FastTrackDetector
+ *    run the same epoch rules (EpochHbDetector) on different storage,
+ *    MetaCache and ShadowMemory, so this checks that the two storage
+ *    backends agree.
  *  - djit-matches-oracle: the DJIT+ full-vector detector must agree
  *    exactly with the reference happens-before oracle run in
  *    full-write-vector mode.

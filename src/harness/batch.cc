@@ -594,12 +594,6 @@ runBatch(const std::vector<BatchItem> &items, RunPool &pool,
     return results;
 }
 
-std::vector<BatchItemResult>
-runBatch(const std::vector<BatchItem> &items, RunPool &pool)
-{
-    return runBatch(items, pool, BatchOptions{});
-}
-
 std::string
 reproCommand(const BatchItemResult &res, std::int64_t run)
 {

@@ -310,11 +310,7 @@ struct BatchOptions
  */
 std::vector<BatchItemResult> runBatch(const std::vector<BatchItem> &items,
                                       RunPool &pool,
-                                      const BatchOptions &opts);
-
-/** Legacy entry point: runBatch with default BatchOptions. */
-std::vector<BatchItemResult> runBatch(const std::vector<BatchItem> &items,
-                                      RunPool &pool);
+                                      const BatchOptions &opts = {});
 
 /** @return the repro command for one unit of @p res: the item's
  * reproBase plus the failing run's --inject seed (injected runs) or

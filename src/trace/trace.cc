@@ -1,5 +1,6 @@
 #include "trace/trace.hh"
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -214,15 +215,18 @@ openPackedTrace(std::string_view bytes, PackedTraceView *out,
         return fail("truncated at event stream");
     if (bytes.size() - pos != nevents * sizeof(Event::Packed))
         return fail("trailing bytes past declared event count");
-    // Pre-validate every record's kind and thread id in one strided
-    // scan, so consumers of the view can decode without per-event
-    // checks — and so a corrupt entry is rejected before a streaming
-    // replay has dispatched half its events into live detectors.
-    // Barriers and line evictions carry no thread (tid byte 0xff).
+    // Pre-validate every record's kind, thread id and access extent in
+    // one strided scan, so consumers of the view can decode without
+    // per-event checks — and so a corrupt entry is rejected before a
+    // streaming replay has dispatched half its events into live
+    // detectors. Barriers and line evictions carry no thread (tid byte
+    // 0xff). A Read or Write stays inside one line (a size of 0 counts
+    // as one byte), as WorkloadBuilder guarantees of every program.
     const char *rec = bytes.data() + pos;
     for (std::uint64_t i = 0; i < nevents; ++i) {
         const char *r = rec + i * sizeof(Event::Packed);
         const auto kind = static_cast<std::uint8_t>(r[0]);
+        const auto size = static_cast<std::uint8_t>(r[1]);
         const auto tid = static_cast<std::uint8_t>(r[2]);
         if (kind > static_cast<std::uint8_t>(EventKind::AtomicLoad))
             return fail("corrupt event kind");
@@ -230,6 +234,14 @@ openPackedTrace(std::string_view bytes, PackedTraceView *out,
             kind != static_cast<std::uint8_t>(EventKind::Barrier) &&
             kind != static_cast<std::uint8_t>(EventKind::LineEvicted))
             return fail("corrupt thread id");
+        if (kind == static_cast<std::uint8_t>(EventKind::Read) ||
+            kind == static_cast<std::uint8_t>(EventKind::Write)) {
+            Addr addr;
+            std::memcpy(&addr, r + offsetof(Event::Packed, addr),
+                        sizeof(addr));
+            if ((addr & (kLineBytes - 1)) + (size ? size : 1) > kLineBytes)
+                return fail("corrupt access");
+        }
     }
     view.records = rec;
     view.nevents = nevents;

@@ -98,8 +98,9 @@ struct PackedTraceView
  * without decoding it.
  *
  * Every structural defect — bad magic, unsupported version, truncation
- * anywhere, corrupt event kinds, thread ids past kMaxThreads, trailing
- * garbage past the declared event count — is reported through @p err
+ * anywhere, corrupt event kinds, thread ids past kMaxThreads, a Read
+ * or Write that crosses a kLineBytes line, trailing garbage past the
+ * declared event count — is reported through @p err
  * instead of fatal(), so callers holding untrusted bytes (the trace
  * cache) can recover. On success the whole stream is verified:
  * consumers may decode the records without further checks.

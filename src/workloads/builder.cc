@@ -14,8 +14,6 @@ namespace
 {
 /** Base of the simulated data segment (arbitrary, line-aligned). */
 constexpr Addr kDataBase = 0x10000000;
-/** Line size assumed by the validator (matches Table 1). */
-constexpr unsigned kLineBytes = 32;
 } // namespace
 
 WorkloadBuilder::WorkloadBuilder(std::string name, unsigned num_threads)

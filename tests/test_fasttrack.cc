@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the FastTrack-style epoch-optimized happens-before
- * detector, including the equivalence property against the full
- * vector-clock implementation.
+ * Tests for the FastTrack happens-before detector: its epoch rules,
+ * equivalence with HappensBeforeDetector (the same rules on MetaCache
+ * storage), and agreement with the independent vector-clock oracle.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,9 @@
 #include "detector_test_util.hh"
 #include "detectors/fasttrack.hh"
 #include "detectors/happens_before.hh"
+#include "fuzz/invariants.hh"
+#include "fuzz/oracle.hh"
+#include "trace/record.hh"
 #include "workloads/registry.hh"
 
 namespace hard
@@ -114,9 +117,11 @@ TEST(FastTrack, BarrierOrderedReadersDoNotInflate)
 }
 
 /**
- * Equivalence property: FastTrack and the full vector-clock detector
- * report exactly the same sites on the same execution — on random
- * synthetic programs and on every workload model.
+ * Equivalence property: FastTrack and the unbounded
+ * HappensBeforeDetector report exactly the same sites on the same
+ * execution, and FastTrack's report keys are the vector-clock oracle's
+ * (full read vectors, no shared code) — on random synthetic programs
+ * and on every workload model.
  */
 class FastTrackEquivalence : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -162,6 +167,9 @@ TEST_P(FastTrackEquivalence, MatchesVectorClockOnRandomPrograms)
 
     EXPECT_EQ(ft.sink().sites(), vc.sink().sites())
         << "seed " << GetParam();
+    EXPECT_EQ(reportKeys(ft.sink()),
+              oracleHappensBefore(recordRun(p, SimConfig{}), 4))
+        << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastTrackEquivalence,
@@ -181,6 +189,8 @@ TEST_P(FastTrackOnWorkloads, MatchesVectorClockOnWorkloads)
     HappensBeforeDetector vc("vc", HbConfig::ideal());
     runProgram(p, {&ft, &vc});
     EXPECT_EQ(ft.sink().sites(), vc.sink().sites());
+    EXPECT_EQ(reportKeys(ft.sink()),
+              oracleHappensBefore(recordRun(p, SimConfig{}), 4));
     // The fast path carries the overwhelming majority of reads.
     EXPECT_GT(ft.fastPathReads(), 0u);
 }

@@ -242,6 +242,59 @@ TEST(HappensBefore, StorageDisplacementLosesHistory)
     EXPECT_GT(ideal.sink().distinctSiteCount(), 0u);
 }
 
+/** A 2-set, 2-way timestamp store: three lines of one set displace. */
+HbConfig
+tinyBoundedHb()
+{
+    HbConfig cfg;
+    cfg.metaGeometry = CacheConfig{128, 2, 32, 0};
+    return cfg;
+}
+
+TEST(HappensBefore, DisplacementForgetsAnInflatedReadVector)
+{
+    // Threads 0 and 1 read x concurrently, which inflates its read
+    // epoch to a read vector. Once x's line is displaced, a write by
+    // thread 2 that is ordered with neither read races only in the
+    // unbounded store.
+    const Addr x = 0x1000;
+    const SiteId sw = 7;
+    HappensBeforeDetector bounded("hb", tinyBoundedHb());
+    HappensBeforeDetector ideal("hb.ideal", HbConfig::ideal());
+    for (HappensBeforeDetector *det : {&bounded, &ideal}) {
+        HandTrace t(*det);
+        t.read(0, x);
+        t.read(1, x);
+        EXPECT_EQ(det->inflations(), 1u) << det->name();
+        t.read(0, 0x2000); // same set as x
+        t.read(0, 0x3000); // displaces x's line
+        t.write(2, x, sw);
+    }
+    EXPECT_GT(bounded.metadataEvictions(), 0u);
+    EXPECT_FALSE(reportedAt(bounded.sink(), sw));
+    EXPECT_TRUE(reportedAt(ideal.sink(), sw));
+}
+
+TEST(HappensBefore, BarrierKeepsAnInflatedReadVector)
+{
+    // The barrier orders the concurrent reads; it does not reset the
+    // granule. A later read by thread 0 updates the read vector (slow
+    // path) instead of starting a fresh epoch.
+    HappensBeforeDetector det("hb", tinyBoundedHb());
+    HandTrace t(det);
+    t.read(0, 0x1000);
+    t.read(1, 0x1000);
+    ASSERT_EQ(det.inflations(), 1u);
+    const std::uint64_t fast = det.fastPathReads();
+    t.barrier(3);
+    t.read(0, 0x1000);
+    EXPECT_EQ(det.fastPathReads(), fast);
+    EXPECT_EQ(det.inflations(), 1u);
+    t.write(0, 0x1000); // ordered after thread 1's pre-barrier read
+    EXPECT_EQ(det.metadataEvictions(), 0u);
+    EXPECT_TRUE(det.sink().reports().empty());
+}
+
 TEST(HappensBefore, WriteAfterReadByOtherThreadRaces)
 {
     WorkloadBuilder b("t", 2);

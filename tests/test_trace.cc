@@ -5,9 +5,12 @@
  * guarantee that offline replay reproduces online detection exactly.
  */
 
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -217,6 +220,79 @@ TEST(TraceFileDeath, RejectsOutOfRangeThreadId)
     }
     EXPECT_EXIT(readTrace(path), ::testing::ExitedWithCode(1),
                 "corrupt thread id");
+    std::remove(path.c_str());
+}
+
+/**
+ * @return @p bytes with record @p i's address set to @p addr and its
+ * size to @p size.
+ */
+std::string
+patchAccess(std::string bytes, std::size_t nevents, std::size_t i,
+            Addr addr, std::uint8_t size)
+{
+    const std::size_t rec = sizeof(TraceEvent::Packed);
+    const std::size_t at = bytes.size() - (nevents - i) * rec;
+    bytes[at + 1] = static_cast<char>(size);
+    std::memcpy(&bytes[at + offsetof(TraceEvent::Packed, addr)], &addr,
+                sizeof(addr));
+    return bytes;
+}
+
+TEST(TraceValidation, LineCrossingAccessIsRejected)
+{
+    const Trace t = threadIdFixture();
+    const std::string good = serializeTrace(t);
+    PackedTraceView view;
+    std::string err;
+    // Accesses (address, size) on kLineBytes lines. Ending on a line's
+    // last byte keeps one whole; a size of 0 counts as one byte.
+    const std::pair<Addr, unsigned> crossing[] = {
+        {0x101c, 8}, {0x103f, 2}, {0x1020, kLineBytes + 1}};
+    const std::pair<Addr, unsigned> whole[] = {
+        {0x1018, 8}, {0x103f, 1}, {0x103f, 0}, {0x1020, kLineBytes}};
+    // Records 0 (Read) and 3 (Write).
+    for (std::size_t i : {std::size_t{0}, std::size_t{3}}) {
+        for (auto [addr, size] : crossing) {
+            SCOPED_TRACE("record " + std::to_string(i) + " size " +
+                         std::to_string(size));
+            const std::string bad =
+                patchAccess(good, t.events.size(), i, addr,
+                            static_cast<std::uint8_t>(size));
+            err.clear();
+            EXPECT_FALSE(openPackedTrace(bad, &view, &err));
+            EXPECT_EQ(err, "corrupt access");
+            Trace out;
+            err.clear();
+            EXPECT_FALSE(deserializeTrace(bad, &out, &err));
+            EXPECT_EQ(err, "corrupt access");
+        }
+        for (auto [addr, size] : whole) {
+            const std::string ok =
+                patchAccess(good, t.events.size(), i, addr,
+                            static_cast<std::uint8_t>(size));
+            EXPECT_TRUE(openPackedTrace(ok, &view, &err)) << err;
+        }
+    }
+    // A line eviction names a line, not an access: it is not checked.
+    const std::string evict =
+        patchAccess(good, t.events.size(), 2, 0x101c, 8);
+    EXPECT_TRUE(openPackedTrace(evict, &view, &err)) << err;
+}
+
+TEST(TraceFileDeath, RejectsLineCrossingAccess)
+{
+    const Trace t = threadIdFixture();
+    const std::string path = tmpPath("badaccess");
+    {
+        const std::string bad =
+            patchAccess(serializeTrace(t), t.events.size(), 0, 0x101c, 8);
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        std::fwrite(bad.data(), 1, bad.size(), f);
+        std::fclose(f);
+    }
+    EXPECT_EXIT(readTrace(path), ::testing::ExitedWithCode(1),
+                "corrupt access");
     std::remove(path.c_str());
 }
 

@@ -449,6 +449,28 @@ TEST(TraceCacheStreaming, OutOfRangeThreadIdIsEvictedBeforeAnyDispatch)
     EXPECT_FALSE(log.lines.empty());
 }
 
+TEST(TraceCacheStreaming, LineCrossingAccessIsEvictedBeforeAnyDispatch)
+{
+    TraceCache cache(tmpDir("tcache_stream_badaccess"));
+    const TraceKey key = fixtureKey();
+    // An intact container whose last Read leaves its line: a detector
+    // would index past the line's granules.
+    Trace bad = fixtureTrace();
+    bad.events[3].addr = 0x201c;
+    bad.events[3].size = 8;
+    cache.store(key, bad);
+
+    EventLog log;
+    EXPECT_FALSE(cache.replayCached(key, {&log}).has_value());
+    EXPECT_TRUE(log.lines.empty());
+    EXPECT_EQ(cache.counters().evictedCorrupt, 1u);
+    EXPECT_FALSE(std::filesystem::exists(cache.pathFor(key)));
+
+    cache.store(key, fixtureTrace());
+    EXPECT_TRUE(cache.replayCached(key, {&log}).has_value());
+    EXPECT_FALSE(log.lines.empty());
+}
+
 TEST(TraceCacheStreaming, StaleContainerIsAMissThenReRecord)
 {
     TraceCache cache(tmpDir("tcache_stream_stale"));

@@ -3,13 +3,15 @@
  * Seeded byte mutations of serialized traces: truncations, byte flips
  * and two-trace splices over small recorded runs. Every mutant must
  * either fail validation with a message, or open into a view whose
- * records all decode to a valid kind and thread id, and on which
+ * records all decode to a valid kind and thread id, with no Read or
+ * Write crossing a line, and on which
  * deserializeTrace() agrees event for event. The sanitizer build runs
  * this too, so a mutant that reads out of bounds fails there.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -68,6 +70,9 @@ mutantDefect(const std::string &bytes, bool *opened)
         if (ev.tid >= kMaxThreads && ev.kind != EventKind::Barrier &&
             ev.kind != EventKind::LineEvicted)
             return "invalid thread id" + at;
+        if (ev.isAccess() &&
+            ev.addr % kLineBytes + std::max(ev.size, 1u) > kLineBytes)
+            return "line-crossing access" + at;
         if (!(ev == trace.events[i]))
             return "decoded events differ" + at;
     }
