@@ -5,17 +5,17 @@
  * HARD: BFVector signature/intersection/emptiness, Lock Register
  * updates, the Figure 2 state machine, the exact (software) set
  * intersection they replace (on std::set and on interned lockset
- * ids), per-access detector costs, and the underlying cache/bus
- * substrate.
+ * ids), and one bus transaction. Per-detector and memory-system costs
+ * are measured on recorded workload traces by `perfbench --trace 1`
+ * (perfbench/README.md), not here.
  */
 
 #include <benchmark/benchmark.h>
 
-#include "coherence/memsys.hh"
-#include "core/hard_detector.hh"
-#include "detectors/fasttrack.hh"
-#include "detectors/happens_before.hh"
-#include "detectors/ideal_lockset.hh"
+#include "coherence/bus.hh"
+#include "core/lock_register.hh"
+#include "detectors/lockset_core.hh"
+#include "detectors/lockset_state.hh"
 #include "common/rng.hh"
 
 namespace hard
@@ -108,76 +108,6 @@ BM_LStateTransition(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LStateTransition);
-
-/** Drive one detector with a synthetic pre-generated event stream. */
-template <typename Detector>
-void
-drivePerAccess(benchmark::State &state, Detector &det)
-{
-    Rng rng(7);
-    std::vector<Event> evs(4096);
-    for (auto &ev : evs) {
-        ev.tid = static_cast<ThreadId>(rng.below(4));
-        ev.core = ev.tid;
-        ev.addr = 0x10000 + rng.below(4096) * 8;
-        ev.size = 8;
-        ev.kind = rng.chance(0.5) ? EventKind::Write : EventKind::Read;
-        ev.site = static_cast<SiteId>(rng.below(16));
-        ev.stateAfter = CState::Shared;
-        ev.sharers = 2;
-    }
-    std::size_t i = 0;
-    for (auto _ : state)
-        det.onEvent(evs[i++ & 4095]);
-}
-
-void
-BM_HardDetectorPerAccess(benchmark::State &state)
-{
-    HardDetector det("hard", HardConfig{});
-    drivePerAccess(state, det);
-}
-BENCHMARK(BM_HardDetectorPerAccess);
-
-void
-BM_HappensBeforePerAccess(benchmark::State &state)
-{
-    HappensBeforeDetector det("hb", HbConfig{});
-    drivePerAccess(state, det);
-}
-BENCHMARK(BM_HappensBeforePerAccess);
-
-void
-BM_FastTrackPerAccess(benchmark::State &state)
-{
-    FastTrackDetector det("ft", 4);
-    drivePerAccess(state, det);
-}
-BENCHMARK(BM_FastTrackPerAccess);
-
-void
-BM_IdealLocksetPerAccess(benchmark::State &state)
-{
-    IdealLocksetDetector det("ls", IdealLocksetConfig{});
-    drivePerAccess(state, det);
-}
-BENCHMARK(BM_IdealLocksetPerAccess);
-
-void
-BM_MemSystemAccess(benchmark::State &state)
-{
-    MemorySystem mem(MemSysConfig{});
-    Rng rng(3);
-    Cycle now = 0;
-    for (auto _ : state) {
-        AccessOutcome out =
-            mem.access(static_cast<CoreId>(rng.below(4)),
-                       0x10000 + rng.below(8192) * 8, 8,
-                       rng.chance(0.3), now);
-        now = out.completeAt;
-    }
-}
-BENCHMARK(BM_MemSystemAccess);
 
 void
 BM_BusTransaction(benchmark::State &state)

@@ -10,6 +10,14 @@
  * in Shared CState with a changed candidate set, are broadcast to the
  * other caches (§3.4) — which costs bus occupancy in overhead runs.
  * Barrier exits flash-reset every BFVector to all-ones (§3.5).
+ *
+ * The Eraser step itself is the lockset engine's
+ * (detectors/lockset_engine.hh) on Bloom sets, a MetaCache and the
+ * Lock Registers, the same step the ideal lockset runs on exact sets.
+ * What stays here is HARD's hardware side, reached through the
+ * engine's hooks: the §3.4 broadcast, per-core registers with
+ * save/restore on a context switch, coupled-metadata eviction, and the
+ * provenance of metadata loss, narrowing and broadcasts.
  */
 
 #ifndef HARD_CORE_HARD_DETECTOR_HH
@@ -17,18 +25,14 @@
 
 #include <array>
 #include <optional>
+#include <utility>
 
 #include "coherence/bus.hh"
 #include "core/lock_register.hh"
-#include "detectors/lockset_state.hh"
-#include "detectors/meta_cache.hh"
-#include "detectors/report.hh"
-#include "detectors/vclock.hh"
+#include "detectors/lockset_engine.hh"
 
 namespace hard
 {
-
-class ProvRecorder;
 
 /** Configuration of a HARD detector instance. */
 struct HardConfig
@@ -95,8 +99,14 @@ struct HardStats
     std::uint64_t intersections = 0;
 };
 
-/** The HARD hardware lockset detector. */
-class HardDetector : public RaceDetector
+/**
+ * The HARD hardware lockset detector: the lockset engine on Bloom
+ * sets, a MetaCache mirroring the L2 and the Lock Registers, plus the
+ * hardware side that is HARD's alone.
+ */
+class HardDetector
+    : public LocksetEngine<HardDetector, BloomAnd, MetaCache,
+                           LockRegisterFile, NoFilter>
 {
   public:
     /**
@@ -110,32 +120,8 @@ class HardDetector : public RaceDetector
 
     void onRead(const Event &ev) override;
     void onWrite(const Event &ev) override;
-    void onLockAcquire(const Event &ev) override;
-    void onLockRelease(const Event &ev) override;
-    void onBarrier(const Event &ev) override;
     void onContextSwitch(const Event &ev) override;
     void onLineEvicted(const Event &ev) override;
-
-    /**
-     * Rwlocks feed the Lock Register mode-blind: the hardware sees
-     * one lock-word RMW either way (§3.3 tracks acquires, not modes),
-     * so a reader hold protects accesses exactly like a writer hold.
-     * Software detectors that honor the mode can only have smaller
-     * effective locksets, preserving hard ⊆ ideal containment.
-     */
-    void
-    onRwLockAcquire(const Event &ev, bool writer) override
-    {
-        (void)writer;
-        onLockAcquire(ev);
-    }
-
-    void
-    onRwLockRelease(const Event &ev, bool writer) override
-    {
-        (void)writer;
-        onLockRelease(ev);
-    }
 
     /**
      * Mirror HardStats + metadata-store state into stats(), including
@@ -159,47 +145,43 @@ class HardDetector : public RaceDetector
     std::optional<std::uint32_t> bfOf(Addr addr);
 
     const HardConfig &config() const { return cfg_; }
-    const HardStats &hardStats() const { return stats_; }
+    const HardStats &hardStats() const;
 
-    /**
-     * Attach a provenance recorder (explain/prov.hh): every candidate-
-     * set narrowing, report, metadata loss/refetch, broadcast and
-     * flash-reset is logged, and emitted reports carry the granule's
-     * last conflicting accessor in RaceReport::other. Null (the
-     * default) keeps every hook a single pointer test — detection
-     * output is byte-identical with no recorder attached.
-     */
-    void attachProvenance(ProvRecorder *prov) { prov_ = prov; }
+    /** Provenance also logs metadata loss/refetch and broadcasts. */
+    using Engine::attachProvenance;
 
   private:
-    /** Per-granule hardware metadata (BFVector + LState + owner). */
-    struct Granule
+    friend Engine;
+
+    /** Per-core mode: a core's registers hold its running thread's
+     * lock set (§3.1), in slot kMaxThreads + core. */
+    unsigned
+    lockSlot(const Event &ev) const
     {
-        /** Raw candidate-set bits; starts all-ones ("all locks"). */
-        std::uint32_t bf = 0xffffffffu;
-        LState state = LState::Virgin;
-        ThreadId owner = invalidThread;
+        if (!cfg_.perCoreRegisters)
+            return ev.tid;
+        hard_panic_if(ev.core >= kMaxThreads, "hard: bad core %u",
+                      ev.core);
+        return kMaxThreads + ev.core;
+    }
 
-        /** §3.5 flash-reset: back to the fresh state. */
-        void barrierReset() { *this = Granule{}; }
-    };
-
-    void access(const Event &ev, bool write);
-
-    /** @return the Lock Register used for (thread @p tid, core
-     * @p core) under the configured register model. */
-    LockRegister &regFor(ThreadId tid, CoreId core);
+    template <bool kTraced>
+    void onFetch(const Event &ev, Addr line, bool fresh, Addr victim);
+    template <bool kTraced>
+    void onMeet(const Event &ev, Addr a, bool write, LState before,
+                const Granule &g, Set old, Set held);
+    template <bool kTraced>
+    void afterAccess(const Event &ev, bool write, bool changed);
+    void onFlashReset(const Event &ev);
 
     HardConfig cfg_;
     Bus *bus_;
-    MetaCache<Granule> meta_;
-    /** Per-thread registers (also the OS save area in per-core mode). */
-    std::array<LockRegister, kMaxThreads> lockRegs_;
-    /** The physical per-processor registers (per-core mode). */
-    std::array<LockRegister, kMaxThreads> coreRegs_;
-    HardStats stats_;
-    /** Provenance recorder; null unless an explain run attached one. */
-    ProvRecorder *prov_ = nullptr;
+    /** metadataEvictions is read from the store when asked for. */
+    mutable HardStats stats_;
+    /** Traced only: this access's narrowed granules, for §3.4
+     * broadcast provenance. */
+    std::array<std::pair<Addr, std::uint32_t>, 8> bcast_{};
+    std::size_t nBcast_ = 0;
 };
 
 } // namespace hard

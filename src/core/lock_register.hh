@@ -13,10 +13,12 @@
 #ifndef HARD_CORE_LOCK_REGISTER_HH
 #define HARD_CORE_LOCK_REGISTER_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/bloom.hh"
+#include "detectors/vclock.hh"
 
 namespace hard
 {
@@ -69,6 +71,55 @@ class LockRegister
     std::uint8_t maxCount_;
     std::uint64_t saturations_ = 0;
     std::uint32_t saturatedBits_ = 0;
+};
+
+/**
+ * The Lock Registers as the lockset engine's lock tracking (HARD, the
+ * hybrid): slot t is thread t's; HARD's per-processor model keeps core
+ * c's in slot kMaxThreads + c. Mode-blind, because the hardware sees
+ * one lock-word RMW either way (§3.3 tracks acquires, not modes): a
+ * reader hold protects like a writer hold, and software detectors that
+ * honor the mode can only have smaller locksets (hard ⊆ ideal).
+ */
+class LockRegisterFile
+{
+  public:
+    static constexpr bool kModeBlind = true;
+
+    LockRegisterFile(unsigned width_bits, unsigned counter_bits)
+    {
+        regs_.fill(LockRegister(width_bits, counter_bits));
+    }
+
+    std::uint32_t
+    protecting(unsigned s, bool) const
+    {
+        return regs_[s].vector().raw();
+    }
+
+    void acquire(unsigned s, Addr lock, bool, bool) { regs_[s].acquire(lock); }
+    void release(unsigned s, Addr lock, bool, bool) { regs_[s].release(lock); }
+    LockRegister &operator[](unsigned s) { return regs_[s]; }
+    const LockRegister &operator[](unsigned s) const { return regs_[s]; }
+
+  private:
+    std::array<LockRegister, 2 * kMaxThreads> regs_;
+};
+
+/** Bloom candidate sets: raw BFVector bits (all ones = "all locks"),
+ * met by one AND (§3.2). */
+struct BloomAnd
+{
+    using Set = std::uint32_t;
+    static constexpr Set kUniverse = 0xffffffffu;
+
+    static Set meet(const LockRegisterFile &, Set a, Set b) { return a & b; }
+
+    static bool
+    empty(const LockRegisterFile &regs, Set s)
+    {
+        return BfVector::rawSetEmpty(s, regs[0].width());
+    }
 };
 
 } // namespace hard

@@ -75,7 +75,6 @@ class DjitPlusDetector : public ClockedDetector
 
     void access(const Event &ev, bool write);
 
-    unsigned gran_;
     ShadowMemory<Shadow> shadow_;
     std::size_t tracked_ = 0;
     std::uint64_t nonLatest_ = 0;

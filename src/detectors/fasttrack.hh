@@ -20,7 +20,7 @@ namespace hard
 {
 
 /** Epoch happens-before detector on flat shadow memory. */
-class FastTrackDetector : public EpochHbDetector
+class FastTrackDetector : public EpochHbDetector<ShadowMemory>
 {
   public:
     /**
@@ -29,27 +29,10 @@ class FastTrackDetector : public EpochHbDetector
      */
     FastTrackDetector(const std::string &name,
                       unsigned granularity_bytes = 4)
-        : EpochHbDetector(name),
-          gran_(checkedGranularity("fasttrack", granularity_bytes)),
-          shadow_(gran_)
+        : EpochHbDetector(name,
+                          checkedGranularity("fasttrack", granularity_bytes))
     {
     }
-
-    void onRead(const Event &ev) override { access(ev, false); }
-    void onWrite(const Event &ev) override { access(ev, true); }
-
-  private:
-    void
-    access(const Event &ev, bool write)
-    {
-        const VClock &vc = clock(ev.tid);
-        shadow_.forEach(ev.addr, ev.size, [&](Addr a, EpochGranule &g) {
-            apply(g, ev, vc, a, gran_, write);
-        });
-    }
-
-    unsigned gran_;
-    ShadowMemory<EpochGranule> shadow_;
 };
 
 } // namespace hard

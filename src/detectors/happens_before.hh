@@ -42,13 +42,16 @@ struct EpochGranule
 };
 
 /**
- * FastTrack's epoch rules over EpochGranules. A subclass owns the
- * storage and passes every granule an access touches to apply().
+ * FastTrack's epoch rules over EpochGranules kept in a @p Storage: a
+ * MetaCache or a ShadowMemory, walked by forEach(addr, size, fetched,
+ * visit) as the lockset engine walks them.
  */
+template <template <typename> class Storage>
 class EpochHbDetector : public ClockedDetector
 {
   public:
-    using ClockedDetector::ClockedDetector;
+    void onRead(const Event &ev) override { access(ev, false); }
+    void onWrite(const Event &ev) override { access(ev, true); }
 
     /** @return reads handled on the O(1) single-epoch fast path. */
     std::uint64_t fastPathReads() const { return fastReads_; }
@@ -57,6 +60,26 @@ class EpochHbDetector : public ClockedDetector
     std::uint64_t inflations() const { return inflations_; }
 
   protected:
+    /** @param store The storage's constructor arguments. */
+    template <typename... StoreArgs>
+    EpochHbDetector(const std::string &name, StoreArgs... store)
+        : ClockedDetector(name), store_(store...)
+    {
+    }
+
+    Storage<EpochGranule> store_;
+
+  private:
+    void
+    access(const Event &ev, bool write)
+    {
+        const VClock &vc = clock(ev.tid);
+        store_.forEach(ev.addr, ev.size, [](Addr, bool, Addr) {},
+                       [&](Addr a, EpochGranule &g) {
+                           apply(g, ev, vc, a, store_.granularity(), write);
+                       });
+    }
+
     /**
      * Check and record @p ev's access to granule @p g, whose base is
      * @p a and size @p gran; @p vc is the accessing thread's clock.
@@ -73,12 +96,8 @@ class EpochHbDetector : public ClockedDetector
             // A write must also be ordered after every read.
             if (!race) {
                 if (g.readVc) {
-                    for (unsigned u = 0; u < kMaxThreads && !race; ++u) {
-                        if (u != ev.tid && (*g.readVc)[u] > vc[u]) {
-                            race = true;
-                            other = static_cast<ThreadId>(u);
-                        }
-                    }
+                    other = g.readVc->firstUnordered(vc, ev.tid);
+                    race = other != invalidThread;
                 } else if (g.lastRead.tid != ev.tid &&
                            !g.lastRead.ordered(vc)) {
                     race = true;
@@ -115,7 +134,6 @@ class EpochHbDetector : public ClockedDetector
         }
     }
 
-  private:
     std::uint64_t fastReads_ = 0;
     std::uint64_t inflations_ = 0;
 };
@@ -145,29 +163,28 @@ struct HbConfig
 };
 
 /** Epoch happens-before detector on cache-geometry storage. */
-class HappensBeforeDetector : public EpochHbDetector
+class HappensBeforeDetector : public EpochHbDetector<MetaCache>
 {
   public:
     /**
      * @param name Detector name for reporting.
      * @param cfg Granularity/storage configuration.
      */
-    HappensBeforeDetector(const std::string &name, const HbConfig &cfg);
-
-    void onRead(const Event &ev) override { access(ev, false); }
-    void onWrite(const Event &ev) override { access(ev, true); }
+    HappensBeforeDetector(const std::string &name, const HbConfig &cfg)
+        : EpochHbDetector(name, cfg.metaGeometry, cfg.unbounded,
+                          metaGranulesPerLine("hb", cfg.metaGeometry,
+                                              cfg.granularityBytes)),
+          cfg_(cfg)
+    {
+    }
 
     /** @return timestamp lines displaced (history lost). */
-    std::uint64_t metadataEvictions() const { return meta_.evictions(); }
+    std::uint64_t metadataEvictions() const { return store_.evictions(); }
 
     const HbConfig &config() const { return cfg_; }
 
   private:
-    /** Apply one access to every granule it overlaps. */
-    void access(const Event &ev, bool write);
-
     HbConfig cfg_;
-    MetaCache<EpochGranule> meta_;
 };
 
 } // namespace hard

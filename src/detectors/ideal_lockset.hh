@@ -4,7 +4,10 @@
  * per 4-byte variable, for *all* variables (unbounded storage), with a
  * complete (exact) set representation instead of Bloom filters — i.e.
  * an Eraser-style software implementation used as the upper bound on
- * HARD's detection capability.
+ * HARD's detection capability. It is the lockset engine
+ * (lockset_engine.hh) on exact sets, ShadowMemory and HeldLocks: the
+ * same step as HARD, with the exact set algebra and rwlock-mode-aware
+ * lock tracking in place of the Bloom sets and Lock Registers.
  */
 
 #ifndef HARD_DETECTORS_IDEAL_LOCKSET_HH
@@ -13,16 +16,13 @@
 #include <array>
 #include <set>
 
-#include "detectors/lockset_core.hh"
-#include "detectors/lockset_state.hh"
-#include "detectors/report.hh"
+#include "detectors/lockset_engine.hh"
 
 namespace hard
 {
 
-class ProvRecorder;
-
-/** Configuration of the ideal lockset detector. */
+/** Configuration of the two exact lockset detectors: the ideal lockset
+ * and RaceTrack (RaceTrackConfig). */
 struct IdealLocksetConfig
 {
     /** Candidate-set granularity in bytes (paper's ideal: 4). */
@@ -38,8 +38,11 @@ struct IdealLocksetConfig
     bool tolerateUnbalanced = false;
 };
 
-/** Eraser-style exact lockset detector, unbounded and fine-grained. */
-class IdealLocksetDetector : public RaceDetector
+/** Eraser-style exact lockset detector, unbounded and fine-grained:
+ * the lockset engine on exact sets, shadow memory and HeldLocks. */
+class IdealLocksetDetector
+    : public LocksetEngine<IdealLocksetDetector, ExactMeet, ShadowMemory,
+                           HeldLocks, NoFilter>
 {
   public:
     IdealLocksetDetector(const std::string &name,
@@ -47,25 +50,23 @@ class IdealLocksetDetector : public RaceDetector
 
     void onRead(const Event &ev) override;
     void onWrite(const Event &ev) override;
-    void onLockAcquire(const Event &ev) override;
-    void onLockRelease(const Event &ev) override;
-    void onBarrier(const Event &ev) override;
-
-    /**
-     * Rwlock-aware lockset maintenance: a writer hold protects like a
-     * mutex; a reader hold protects reads only (concurrent readers
-     * are admitted, so a write under a reader hold is unprotected).
-     * Accesses intersect with HeldLocks::protecting(write).
-     */
-    void onRwLockAcquire(const Event &ev, bool writer) override;
-    void onRwLockRelease(const Event &ev, bool writer) override;
 
     /** @return the current exact write-held lock set of @p tid
      * (mutexes + writer-mode rwlock holds). */
-    const std::set<LockAddr> &lockset(ThreadId tid) const;
+    const std::set<LockAddr> &
+    lockset(ThreadId tid) const
+    {
+        checkThread(tid);
+        return locks_.writeHeld(tid);
+    }
 
     /** @return the current reader-mode rwlock hold set of @p tid. */
-    const std::set<LockAddr> &readLockset(ThreadId tid) const;
+    const std::set<LockAddr> &
+    readLockset(ThreadId tid) const
+    {
+        checkThread(tid);
+        return locks_.readHeld(tid);
+    }
 
     /**
      * Measured set-size statistics, supporting the paper's §5.2.3
@@ -83,39 +84,28 @@ class IdealLocksetDetector : public RaceDetector
         std::array<std::uint64_t, 8> candidateHist{};
     };
 
-    const SetSizeStats &setSizeStats() const { return sizeStats_; }
+    const SetSizeStats &
+    setSizeStats() const
+    {
+        sizeStats_.maxLockset = locks_.maxHeld();
+        return sizeStats_;
+    }
 
     const IdealLocksetConfig &config() const { return cfg_; }
 
-    /**
-     * Attach a provenance recorder (explain/prov.hh): exact candidate
-     * intersections, reports and flash-resets are logged, and reports
-     * carry the last conflicting accessor in RaceReport::other. Null
-     * (default) keeps every hook a single pointer test.
-     */
-    void attachProvenance(ProvRecorder *prov) { prov_ = prov; }
+    /** Provenance also logs exact candidate intersections. */
+    using Engine::attachProvenance;
 
   private:
-    /** Shadow record of one granule. */
-    struct Granule
-    {
-        LState state = LState::Virgin;
-        ThreadId owner = invalidThread;
-        LocksetId candidate = kUniverseLockset;
+    friend Engine;
 
-        /** §3.5: a barrier forgets everything. */
-        void barrierReset() { *this = Granule{}; }
-    };
-
-    void access(const Event &ev, bool write);
+    template <bool kTraced>
+    void onMeet(const Event &ev, Addr a, bool write, LState before,
+                const Granule &g, Set old, Set held);
 
     IdealLocksetConfig cfg_;
-    ShadowMemory<Granule> shadow_;
-    /** Per-thread write-held/read-held lock sets and their table. */
-    HeldLocks held_;
-    SetSizeStats sizeStats_;
-    /** Provenance recorder; null unless an explain run attached one. */
-    ProvRecorder *prov_ = nullptr;
+    /** maxLockset is read from the held locks when asked for. */
+    mutable SetSizeStats sizeStats_;
 };
 
 } // namespace hard

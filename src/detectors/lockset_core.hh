@@ -23,6 +23,7 @@
 #define HARD_DETECTORS_LOCKSET_CORE_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -34,6 +35,7 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "detectors/vclock.hh"
 
 namespace hard
 {
@@ -313,6 +315,18 @@ class ShadowMemory
             visit(a, at(a));
     }
 
+    /** forEach() in MetaCache's form, which the detector engines walk;
+     * shadow memory has no line fetches to report. */
+    template <typename Fetched, typename Visit>
+    void
+    forEach(Addr addr, unsigned size, Fetched &&, Visit &&visit)
+    {
+        forEach(addr, size, visit);
+    }
+
+    /** @return the granule size in bytes. */
+    unsigned granularity() const { return 1u << granShift_; }
+
     /** Discard pre-barrier state: every granule becomes stale. */
     void
     onBarrier()
@@ -364,11 +378,15 @@ class ShadowMemory
  * rwlock holds are read-held. A write is protected only by write-held
  * locks (a reader hold admits concurrent readers of the same data),
  * while a read is protected by locks held in either mode; both ids are
- * cached per thread and change only at acquire and release.
+ * cached per thread and change only at acquire and release. Thread ids
+ * must be below kMaxThreads (the lockset engine checks them).
  */
 class HeldLocks
 {
   public:
+    /** Rwlock holds keep their mode (see LocksetEngine). */
+    static constexpr bool kModeBlind = false;
+
     /**
      * @param who Panic-message prefix (the detector's name).
      * @param tolerate_unbalanced Make re-acquire keep the lock held and
@@ -424,7 +442,7 @@ class HeldLocks
     LocksetId
     protecting(ThreadId tid, bool write) const
     {
-        const Thread t = of(tid);
+        const Thread &t = threads_[tid];
         return write ? t.write : t.either;
     }
 
@@ -432,14 +450,14 @@ class HeldLocks
     const std::set<LockAddr> &
     writeHeld(ThreadId tid) const
     {
-        return table_.locks(of(tid).write);
+        return table_.locks(threads_[tid].write);
     }
 
     /** @return the read-held locks of @p tid. */
     const std::set<LockAddr> &
     readHeld(ThreadId tid) const
     {
-        return table_.locks(of(tid).read);
+        return table_.locks(threads_[tid].read);
     }
 
     /** @return the most locks any thread held at an acquire. */
@@ -454,18 +472,11 @@ class HeldLocks
         LocksetId either = kEmptyLockset;
     };
 
-    /** @return the holds of @p tid; a thread never seen holds none. */
-    Thread
-    of(ThreadId tid) const
-    {
-        auto it = threads_.find(tid);
-        return it == threads_.end() ? Thread{} : it->second;
-    }
-
     const char *who_;
     bool tolerateUnbalanced_;
     LocksetTable table_;
-    std::unordered_map<ThreadId, Thread> threads_;
+    /** A thread never seen holds nothing. */
+    std::array<Thread, kMaxThreads> threads_{};
     std::size_t maxHeld_ = 0;
 };
 

@@ -54,8 +54,23 @@ struct LStateStep
  * @param tid Accessing thread.
  * @param write True for stores.
  */
-LStateStep lstateAccess(LState cur, ThreadId owner, ThreadId tid,
-                        bool write);
+inline LStateStep
+lstateAccess(LState cur, ThreadId owner, ThreadId tid, bool write)
+{
+    // First touch: Exclusive to the toucher, where its own later
+    // accesses keep it. No candidate update and no report:
+    // initialization is lock-free but safe.
+    if (cur == LState::Virgin)
+        return {LState::Exclusive, tid, false, false};
+    if (cur == LState::Exclusive && tid == owner)
+        return {LState::Exclusive, owner, false, false};
+    // A second thread starts the sharing phase, in which the candidate
+    // set is maintained. Unlocked read-only sharing is safe, so only a
+    // write, or a granule a write already made SharedModified, reports.
+    const bool modified = write || cur == LState::SharedModified;
+    return {modified ? LState::SharedModified : LState::Shared,
+            invalidThread, true, modified};
+}
 
 } // namespace hard
 

@@ -36,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "mem/cache_cfg.hh"
 
@@ -94,6 +95,8 @@ class MetaCache
         : geom_(geom), index_(geom, "metaCache"), unbounded_(unbounded),
           granules_(granules_per_line),
           lineShift_(static_cast<unsigned>(floorLog2(geom.lineBytes))),
+          granShift_(static_cast<unsigned>(
+              floorLog2(geom.lineBytes / granules_per_line))),
           epoch_(first_epoch)
     {
         if (unbounded_)
@@ -162,6 +165,42 @@ class MetaCache
         stamps_[victim] = epoch_;
         fresh = true;
         return clear(&data_[victim * granules_]);
+    }
+
+    /**
+     * Look up the line of [@p addr, @p addr + @p size) (a size of 0
+     * counts as one byte) and pass fetched(line address, fresh,
+     * displaced line or invalidAddr) as lookup() reports them; then
+     * visit(granule address, granule) for each granule the access
+     * touches. An access that leaves its line panics.
+     */
+    template <typename Fetched, typename Visit>
+    void
+    forEach(Addr addr, unsigned size, Fetched &&fetched, Visit &&visit)
+    {
+        bool fresh = false;
+        Addr victim = invalidAddr;
+        T *line = lookup(addr, fresh, &victim);
+        const Addr base = index_.lineAddr(addr);
+        const Addr hi = addr + (size ? size : 1);
+        hard_panic_if(hi > base + geom_.lineBytes,
+                      "metaCache: access %llx+%u crosses a metadata line",
+                      static_cast<unsigned long long>(addr), size);
+        fetched(base, fresh, victim);
+        const Addr gran = granularity();
+        for (Addr a = alignDown(addr, gran); a < hi; a += gran)
+            visit(a, line[(a - base) >> granShift_]);
+    }
+
+    /** @return the granule holding @p addr if its line is resident,
+     * else null. */
+    T *
+    granule(Addr addr)
+    {
+        T *line = find(addr);
+        return line == nullptr
+            ? nullptr
+            : &line[(addr - index_.lineAddr(addr)) >> granShift_];
     }
 
     /** @return the first granule of @p addr's line if resident, else
@@ -258,6 +297,9 @@ class MetaCache
 
     /** @return the granules each line holds. */
     unsigned granulesPerLine() const { return granules_; }
+
+    /** @return the granule size in bytes. */
+    unsigned granularity() const { return 1u << granShift_; }
 
     const CacheConfig &geometry() const { return geom_; }
     bool unbounded() const { return unbounded_; }
@@ -437,6 +479,7 @@ class MetaCache
     bool unbounded_;
     unsigned granules_;
     unsigned lineShift_;
+    unsigned granShift_;
     std::uint32_t epoch_;
 
     // Bounded store: way w of set s is index s * assoc + w.

@@ -39,6 +39,20 @@ struct VClock
     {
         return c == o.c;
     }
+
+    /**
+     * @return the first thread other than @p self whose component
+     * exceeds @p vc's (an access recorded here that @p vc is not
+     * ordered after), or invalidThread if there is none.
+     */
+    ThreadId
+    firstUnordered(const VClock &vc, ThreadId self) const
+    {
+        for (unsigned u = 0; u < kMaxThreads; ++u)
+            if (u != self && c[u] > vc.c[u])
+                return static_cast<ThreadId>(u);
+        return invalidThread;
+    }
 };
 
 /** A scalar epoch: clock value @p clk of thread @p tid. */

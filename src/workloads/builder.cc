@@ -6,6 +6,7 @@
 #include "common/bitops.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "detectors/vclock.hh"
 
 namespace hard
 {
@@ -19,7 +20,8 @@ constexpr Addr kDataBase = 0x10000000;
 WorkloadBuilder::WorkloadBuilder(std::string name, unsigned num_threads)
     : numThreads_(num_threads), brk_(kDataBase)
 {
-    hard_throw_if(num_threads == 0 || num_threads > 8, WorkloadError,
+    hard_throw_if(num_threads == 0 || num_threads > kMaxThreads,
+                  WorkloadError,
                   "workload '%s': unsupported thread count %u",
                   name.c_str(), num_threads);
     prog_.name = std::move(name);

@@ -1,7 +1,8 @@
 /**
  * @file
  * The shared happens-before sync order: SyncOrder's edges, and the
- * thread-id bound every clocked detector enforces on its sync hooks.
+ * thread-id bound every clocked detector enforces on its sync hooks
+ * and every lockset detector on its access and lock hooks.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "detectors/djit_plus.hh"
 #include "detectors/fasttrack.hh"
 #include "detectors/happens_before.hh"
+#include "detectors/ideal_lockset.hh"
 #include "detectors/racetrack.hh"
 
 using namespace hard;
@@ -103,6 +105,64 @@ TEST_P(ThreadIdBound, SyncHookPanicsOnOutOfRangeThread)
         EXPECT_DEATH(makeClocked(det)->onAtomicLoad(ev), msg);
     }
 }
+
+/** (lockset detector, hook kind). */
+class LocksetThreadIdBound : public ::testing::TestWithParam<BoundParam>
+{
+};
+
+std::unique_ptr<RaceDetector>
+makeLockset(const std::string &name)
+{
+    if (name == "hard")
+        return std::make_unique<HardDetector>("hard", HardConfig{});
+    if (name == "ideal")
+        return std::make_unique<IdealLocksetDetector>(
+            "ideal", IdealLocksetConfig{});
+    if (name == "racetrack")
+        return std::make_unique<RaceTrackDetector>("racetrack",
+                                                   RaceTrackConfig{});
+    return std::make_unique<HybridDetector>("hybrid", HardConfig{});
+}
+
+/**
+ * The lockset engine checks the thread id once, in front of its
+ * per-thread lock tracking, on every access and lock hook; the panic
+ * names the detector kind.
+ */
+TEST_P(LocksetThreadIdBound, HookPanicsOnOutOfRangeThread)
+{
+    const auto &[det, kind] = GetParam();
+    Event ev;
+    ev.tid = kMaxThreads;
+    ev.addr = kObj;
+    ev.size = 4;
+    const std::string who = det == "ideal" ? "ideal-lockset" : det;
+    const std::string msg = who + ": thread id 8 too large";
+    static_assert(kMaxThreads == 8, "update the expected message");
+
+    if (kind == "access") {
+        EXPECT_DEATH(makeLockset(det)->onRead(ev), msg);
+        EXPECT_DEATH(makeLockset(det)->onWrite(ev), msg);
+    } else if (kind == "lock") {
+        EXPECT_DEATH(makeLockset(det)->onLockAcquire(ev), msg);
+        EXPECT_DEATH(makeLockset(det)->onLockRelease(ev), msg);
+    } else {
+        for (bool writer : {false, true}) {
+            EXPECT_DEATH(makeLockset(det)->onRwLockAcquire(ev, writer), msg);
+            EXPECT_DEATH(makeLockset(det)->onRwLockRelease(ev, writer), msg);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lockset, LocksetThreadIdBound,
+    ::testing::Combine(::testing::Values("hard", "hybrid", "ideal",
+                                         "racetrack"),
+                       ::testing::Values("access", "lock", "rwlock")),
+    [](const ::testing::TestParamInfo<BoundParam> &info) {
+        return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Clocked, ThreadIdBound,

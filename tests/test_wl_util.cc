@@ -145,5 +145,32 @@ TEST(DetectorConfigDeath, BadCounterWidthIsFatal)
                 "counter width");
 }
 
+/** The hybrid models none of HARD's hardware beyond its Bloom sets, so
+ * each hardware-only field fails at construction instead of being
+ * dropped. */
+TEST(DetectorConfigDeath, HybridRejectsCoupledMetadata)
+{
+    HardConfig cfg;
+    cfg.coupleToCaches = true;
+    EXPECT_EXIT(HybridDetector("h", cfg), ::testing::ExitedWithCode(1),
+                "hybrid: coupleToCaches");
+}
+
+TEST(DetectorConfigDeath, HybridRejectsPerCoreRegisters)
+{
+    HardConfig cfg;
+    cfg.perCoreRegisters = true;
+    EXPECT_EXIT(HybridDetector("h", cfg), ::testing::ExitedWithCode(1),
+                "hybrid: perCoreRegisters");
+}
+
+TEST(DetectorConfigDeath, HybridRejectsDisabledSaveRestore)
+{
+    HardConfig cfg;
+    cfg.saveRestoreOnSwitch = false;
+    EXPECT_EXIT(HybridDetector("h", cfg), ::testing::ExitedWithCode(1),
+                "hybrid: saveRestoreOnSwitch");
+}
+
 } // namespace
 } // namespace hard
