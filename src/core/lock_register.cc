@@ -1,5 +1,7 @@
 #include "core/lock_register.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace hard
@@ -17,10 +19,10 @@ LockRegister::LockRegister(unsigned width_bits, unsigned counter_bits)
 void
 LockRegister::acquire(Addr lock)
 {
-    std::uint32_t sig = BfVector::signatureBits(lock, vec_.width());
-    for (unsigned b = 0; b < vec_.width(); ++b) {
-        if (!((sig >> b) & 1))
-            continue;
+    const std::uint32_t sig = BfVector::signatureBits(lock, vec_.width());
+    // A signature sets one bit per part: visit only those.
+    for (std::uint32_t rest = sig; rest != 0; rest &= rest - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(rest));
         if (counters_[b] < maxCount_) {
             ++counters_[b];
         } else {
@@ -29,19 +31,16 @@ LockRegister::acquire(Addr lock)
             saturatedBits_ |= std::uint32_t{1} << b;
         }
     }
-    BfVector s(vec_.width());
-    s.setRaw(sig);
-    vec_ |= s;
+    vec_.setRaw(vec_.raw() | sig);
 }
 
 void
 LockRegister::release(Addr lock)
 {
-    std::uint32_t sig = BfVector::signatureBits(lock, vec_.width());
+    const std::uint32_t sig = BfVector::signatureBits(lock, vec_.width());
     std::uint32_t to_clear = 0;
-    for (unsigned b = 0; b < vec_.width(); ++b) {
-        if (!((sig >> b) & 1))
-            continue;
+    for (std::uint32_t rest = sig; rest != 0; rest &= rest - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(rest));
         if (counters_[b] > 0)
             --counters_[b];
         if (counters_[b] == 0)

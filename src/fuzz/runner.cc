@@ -336,25 +336,20 @@ FuzzReportSet
 analyzeTrace(const Trace &trace, const FuzzConfig &cfg)
 {
     FuzzBattery b = makeFuzzBattery(cfg);
-    // With the profiler on, each battery member is wrapped in a
-    // forwarding TimedObserver: one joint replay still yields the
-    // per-detector dispatch-cost breakdown.
-    std::vector<std::unique_ptr<TimedObserver>> timed;
+    // With the profiler on, each battery member's dispatch time lands
+    // in its own phase, timed per block by the replay itself.
     std::vector<AccessObserver *> obs;
+    ReplayOptions replay;
     for (RaceDetector *d : b.detectors()) {
-        if (Profiler::active() != nullptr) {
-            timed.push_back(std::make_unique<TimedObserver>(
-                d, "fuzz.analyze.detector." + d->name()));
-            obs.push_back(timed.back().get());
-        } else {
-            obs.push_back(d);
-        }
+        obs.push_back(d);
+        if (Profiler::active() != nullptr)
+            replay.phases.push_back("fuzz.analyze.detector." + d->name());
     }
     for (AccessObserver *tap : b.sampledTaps())
         obs.push_back(tap);
     {
         ScopedPhase phase("fuzz.analyze.replay");
-        replayTrace(trace, obs);
+        replayTrace(trace, obs, replay);
     }
     for (RaceDetector *d : b.detectors())
         d->finalize();

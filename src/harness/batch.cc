@@ -82,25 +82,19 @@ runEffectivenessUnit(const std::string &workload, const WorkloadParams &wp,
             out.raceFree
                 ? -1
                 : static_cast<std::int64_t>(seed0 + index));
-        // With the profiler on, each detector is wrapped in a
-        // forwarding TimedObserver: one joint replay (identical event
-        // stream, identical cache counters) still yields a
-        // per-detector dispatch-cost breakdown.
-        std::vector<std::unique_ptr<TimedObserver>> timed;
-        std::vector<AccessObserver *> observers;
-        observers.reserve(raw.size());
-        if (Profiler::active() != nullptr) {
-            timed.reserve(raw.size());
-            for (RaceDetector *d : raw) {
-                timed.push_back(std::make_unique<TimedObserver>(
-                    d, "batch.unit.detector." + d->name()));
-                observers.push_back(timed.back().get());
-            }
-        } else {
-            observers.assign(raw.begin(), raw.end());
-        }
-        // Sampling gates only the detectors (and their timing
-        // wrappers); the exposure probe sees the full stream.
+        // The detectors are independent, so the replay spreads them
+        // over the unit's lanes (RunPool::laneBudget()). With the
+        // profiler on, each detector's dispatch time lands in its own
+        // phase, timed per block by the replay itself.
+        std::vector<AccessObserver *> observers(raw.begin(), raw.end());
+        ReplayOptions replay;
+        replay.lanes = RunPool::laneBudget();
+        if (Profiler::active() != nullptr)
+            for (RaceDetector *d : raw)
+                replay.phases.push_back("batch.unit.detector." +
+                                        d->name());
+        // Sampling gates only the detectors; the exposure probe sees
+        // the full stream.
         std::vector<std::unique_ptr<SamplingObserver>> sampled;
         if (cfg.sampling.active()) {
             sampled.reserve(observers.size());
@@ -121,8 +115,8 @@ runEffectivenessUnit(const std::string &workload, const WorkloadParams &wp,
         bool replayed = false;
         if (trace_cache != nullptr && explain_hard == nullptr) {
             ScopedPhase phase("batch.unit.replay");
-            replayed =
-                trace_cache->replayCached(key, observers).has_value();
+            replayed = trace_cache->replayCached(key, observers, replay)
+                           .has_value();
         }
         if (!replayed) {
             Trace trace;
@@ -141,7 +135,7 @@ runEffectivenessUnit(const std::string &workload, const WorkloadParams &wp,
             }
             {
                 ScopedPhase phase("batch.unit.replay");
-                replayTrace(trace, observers);
+                replayTrace(trace, observers, replay);
             }
             if (explain_hard != nullptr) {
                 ScopedPhase phase("batch.unit.explain");

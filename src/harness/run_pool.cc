@@ -1,9 +1,51 @@
 #include "harness/run_pool.hh"
 
+#include <algorithm>
 #include <exception>
+
+#include <sched.h>
 
 namespace hard
 {
+
+namespace
+{
+
+/** This thread's budget while it runs a pool task; 0 outside any. */
+thread_local unsigned t_taskBudget = 0;
+
+/** Sets this thread's task budget for one task, restoring it after. */
+class BudgetScope
+{
+  public:
+    explicit BudgetScope(unsigned budget) : saved_(t_taskBudget)
+    {
+        t_taskBudget = budget;
+    }
+    ~BudgetScope() { t_taskBudget = saved_; }
+
+    BudgetScope(const BudgetScope &) = delete;
+    BudgetScope &operator=(const BudgetScope &) = delete;
+
+  private:
+    unsigned saved_;
+};
+
+} // namespace
+
+unsigned
+hostThreads()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+        const int n = CPU_COUNT(&set);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
 
 /**
  * One in-flight batch. Lives on the runIndexed caller's stack; all
@@ -19,13 +61,26 @@ struct RunPool::Batch
     std::size_t remaining = 0;
     /** Per-index exception slots (null when the task succeeded). */
     std::vector<std::exception_ptr> errors;
+    /** Thread budget of each task (RunPool::laneBudget()). */
+    unsigned budget = 1;
 };
 
 unsigned
 RunPool::defaultJobs()
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    return hostThreads();
+}
+
+unsigned
+RunPool::laneBudget()
+{
+    return t_taskBudget != 0 ? t_taskBudget : hostThreads();
+}
+
+unsigned
+RunPool::taskBudget() const
+{
+    return std::max(1u, laneBudget() / jobs_);
 }
 
 RunPool::RunPool(unsigned jobs) : jobs_(jobs == 0 ? defaultJobs() : jobs)
@@ -66,6 +121,7 @@ RunPool::workerLoop()
             lk.unlock();
             std::exception_ptr err;
             try {
+                BudgetScope scope(b->budget);
                 (*b->fn)(i);
             } catch (...) {
                 err = std::current_exception();
@@ -90,6 +146,7 @@ RunPool::runIndexed(std::size_t count,
     // first exception propagating immediately (same observable
     // behaviour as the pooled lowest-index-wins rule).
     if (jobs_ < 2 || workers_.empty()) {
+        BudgetScope scope(taskBudget());
         for (std::size_t i = 0; i < count; ++i)
             fn(i);
         return;
@@ -113,6 +170,7 @@ RunPool::runCollect(std::size_t count,
     // stop the batch — every index runs and failures land in their
     // slots, exactly as in the pooled case.
     if (jobs_ < 2 || workers_.empty()) {
+        BudgetScope scope(taskBudget());
         for (std::size_t i = 0; i < count; ++i) {
             try {
                 fn(i);
@@ -137,6 +195,7 @@ RunPool::drain(std::size_t count,
     b.fn = &fn;
     b.remaining = count;
     b.errors.resize(count);
+    b.budget = taskBudget();
 
     {
         std::unique_lock<std::mutex> lk(mu_);

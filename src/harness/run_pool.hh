@@ -23,6 +23,13 @@
  *    index, the primitive behind --keep-going batch sweeps;
  *  - an empty batch returns immediately;
  *  - the pool is reusable for any number of batches.
+ *
+ * RunPool also owns the process's thread budget. Let H be
+ * hostThreads(), the CPUs this process may run on. A task of a pool of
+ * J workers may spend max(1, H / J) threads (laneBudget()); code
+ * outside any pool may spend H. Fast-mode units spend theirs on replay
+ * lanes (trace/replayer.hh), so a one-worker sweep fills the cores a
+ * J = H sweep already fills with workers, and neither oversubscribes.
  */
 
 #ifndef HARD_HARNESS_RUN_POOL_HH
@@ -38,6 +45,13 @@
 
 namespace hard
 {
+
+/**
+ * @return the number of CPUs the calling thread may run on: its
+ * affinity mask (taskset, cpusets), else hardware_concurrency(), at
+ * least 1.
+ */
+unsigned hostThreads();
 
 /** Fixed-size pool executing indexed batches of independent tasks. */
 class RunPool
@@ -91,14 +105,26 @@ class RunPool
         return out;
     }
 
-    /** @return the host's hardware concurrency (at least 1). */
+    /** @return hostThreads(): the worker count of a pool of 0 jobs. */
     static unsigned defaultJobs();
+
+    /**
+     * @return the threads the calling code may spend: max(1, B / J)
+     * inside a task of a pool of J workers, where B is the budget of
+     * the thread that submitted the batch; hostThreads() outside any
+     * pool.
+     */
+    static unsigned laneBudget();
 
   private:
     /** State of the batch currently being drained (nullptr if idle). */
     struct Batch;
 
     void workerLoop();
+
+    /** @return laneBudget() for this pool's tasks, as seen by the
+     * thread submitting a batch. */
+    unsigned taskBudget() const;
 
     /** Run a pooled batch to completion; per-index exception slots. */
     std::vector<std::exception_ptr>

@@ -18,8 +18,9 @@
  * cheap null-check when disabled. Phases are identified by dotted
  * paths ("batch.unit.record"); the flat map is folded into a tree at
  * dump time. Aggregation is at phase granularity (one mutexed update
- * per ScopedPhase destruction), so contention is negligible even with
- * per-event detector dispatch timing, which batches its updates.
+ * per ScopedPhase destruction), so contention is negligible. The
+ * replay's per-detector dispatch timing (trace/replayer.hh) reads the
+ * clock per block of events and folds its totals in once per replay.
  */
 
 #ifndef HARD_TELEMETRY_PROFILE_HH
@@ -32,7 +33,6 @@
 #include <string>
 
 #include "common/json.hh"
-#include "sim/observer.hh"
 
 namespace hard
 {
@@ -139,58 +139,6 @@ profileCount(const char *name, std::uint64_t delta)
     if (Profiler *p = Profiler::active())
         p->addCounter(name, delta);
 }
-
-/**
- * Forwarding observer that attributes replay dispatch time to one
- * detector. Wrapping each battery member lets a *single* joint replay
- * (identical event stream, identical trace-cache counters) produce a
- * per-detector cost breakdown: each event is forwarded verbatim
- * and its wall time accumulated locally, folded into the profiler
- * once at flush()/destruction. Wall only — a per-event thread-CPU
- * syscall would dwarf what it measures. Only constructed when the
- * profiler is active, so profiling off costs nothing.
- */
-class TimedObserver : public AccessObserver
-{
-  public:
-    /** Forward to @p inner, attributing time to phase @p path. */
-    TimedObserver(AccessObserver *inner, std::string path)
-        : inner_(inner), path_(std::move(path))
-    {
-    }
-
-    ~TimedObserver() override { flush(); }
-
-    /** Fold the accumulated time into the profiler now. */
-    void
-    flush()
-    {
-        if (calls_ == 0)
-            return;
-        if (Profiler *p = Profiler::active())
-            p->addPhase(path_, wallSeconds_, 0.0, calls_);
-        calls_ = 0;
-        wallSeconds_ = 0.0;
-    }
-
-    /** Forward @p ev, timed with two steady_clock reads. */
-    void
-    onEvent(const Event &ev) override
-    {
-        const auto t0 = std::chrono::steady_clock::now();
-        inner_->onEvent(ev);
-        wallSeconds_ += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-        ++calls_;
-    }
-
-  private:
-    AccessObserver *inner_;
-    std::string path_;
-    std::uint64_t calls_ = 0;
-    double wallSeconds_ = 0.0;
-};
 
 } // namespace hard
 

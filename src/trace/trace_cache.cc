@@ -455,7 +455,8 @@ TraceCache::lookup(const TraceKey &key)
 
 std::optional<std::size_t>
 TraceCache::replayCached(const TraceKey &key,
-                         const std::vector<AccessObserver *> &observers)
+                         const std::vector<AccessObserver *> &observers,
+                         const ReplayOptions &opts)
 {
     // Entry mapping + validation is attributed to traceCache.load; the
     // streamed dispatch that follows belongs to the caller's replay
@@ -492,7 +493,7 @@ TraceCache::replayCached(const TraceKey &key,
         // The entry is fully validated; stream it into the detectors
         // straight from the mapping. Identical dispatch to
         // replayTrace(lookup(key)), minus the event-vector detour.
-        const std::size_t n = replayPacked(view, observers);
+        const std::size_t n = replayPacked(view, observers, opts);
         profileCount("traceCache.hits", 1);
         std::lock_guard<std::mutex> lock(mu_);
         ++counters_.hits;
@@ -513,23 +514,6 @@ TraceCache::store(const TraceKey &key, const Trace &trace)
     ScopedPhase phase("traceCache.store");
     const std::string payload = serializeTrace(trace);
 
-    std::string bytes;
-    auto raw = [&](const void *p, std::size_t n) {
-        bytes.append(static_cast<const char *>(p), n);
-    };
-    raw(kCacheMagic, sizeof(kCacheMagic));
-    raw(&kContainerVersion, sizeof(kContainerVersion));
-    std::uint32_t trace_version = traceFormatVersion();
-    raw(&trace_version, sizeof(trace_version));
-    std::uint64_t canon_len = key.canonical().size();
-    raw(&canon_len, sizeof(canon_len));
-    raw(key.canonical().data(), canon_len);
-    std::uint64_t payload_len = payload.size();
-    raw(&payload_len, sizeof(payload_len));
-    raw(payload.data(), payload_len);
-    std::uint64_t checksum = laneChecksum(payload.data(), payload.size());
-    raw(&checksum, sizeof(checksum));
-
     // Private temp name (pid + process-wide sequence) so concurrent
     // writers never share a temp file; rename() is atomic within the
     // directory, so readers only ever see complete entries.
@@ -537,12 +521,31 @@ TraceCache::store(const TraceKey &key, const Trace &trace)
     const std::string tmp = dir_ + "/.tmp." + key.digest() + "." +
         std::to_string(static_cast<std::uint64_t>(::getpid())) + "." +
         std::to_string(seq.fetch_add(1));
+    std::uint64_t written = 0;
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         hard_fatal_if(!out, "trace-cache: cannot open '%s' for writing",
                       tmp.c_str());
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
+        // Header, payload and checksum go straight to the file: no
+        // second in-memory copy of the payload.
+        auto raw = [&](const void *p, std::size_t n) {
+            out.write(static_cast<const char *>(p),
+                      static_cast<std::streamsize>(n));
+            written += n;
+        };
+        raw(kCacheMagic, sizeof(kCacheMagic));
+        raw(&kContainerVersion, sizeof(kContainerVersion));
+        const std::uint32_t trace_version = traceFormatVersion();
+        raw(&trace_version, sizeof(trace_version));
+        const std::uint64_t canon_len = key.canonical().size();
+        raw(&canon_len, sizeof(canon_len));
+        raw(key.canonical().data(), canon_len);
+        const std::uint64_t payload_len = payload.size();
+        raw(&payload_len, sizeof(payload_len));
+        raw(payload.data(), payload_len);
+        const std::uint64_t checksum =
+            laneChecksum(payload.data(), payload.size());
+        raw(&checksum, sizeof(checksum));
         out.flush();
         hard_fatal_if(!out, "trace-cache: write to '%s' failed",
                       tmp.c_str());
@@ -566,7 +569,7 @@ TraceCache::store(const TraceKey &key, const Trace &trace)
         fatal("trace-cache: publish of '%s' failed: %s",
               pathFor(key).c_str(), ec.message().c_str());
     }
-    profileCount("traceCache.bytesWritten", bytes.size());
+    profileCount("traceCache.bytesWritten", written);
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.stores;
 }

@@ -44,6 +44,7 @@
 
 #include "common/json.hh"
 #include "sim/sim_config.hh"
+#include "trace/replayer.hh"
 #include "trace/trace.hh"
 #include "workloads/builder.hh"
 
@@ -152,14 +153,16 @@ class TraceCache
      * materializing the event vector lookup() pays for. Integrity
      * checking and counter accounting are identical to lookup(), and
      * no event is dispatched unless the entire entry validates — a
-     * corrupt tail can never leave detectors half-replayed.
+     * corrupt tail can never leave detectors half-replayed. @p opts
+     * (lanes, profiler phases) passes through to replayPacked().
      *
      * @return the number of events replayed on a hit; nullopt on a
      * miss (absent/corrupt/stale/colliding, counted like lookup()).
      */
     std::optional<std::size_t>
     replayCached(const TraceKey &key,
-                 const std::vector<AccessObserver *> &observers);
+                 const std::vector<AccessObserver *> &observers,
+                 const ReplayOptions &opts = {});
 
     /**
      * Publish @p trace as the entry for @p key via temp file + atomic

@@ -51,7 +51,7 @@ tinyParams()
 }
 
 /** Two items; the second measures overhead (run == -1) and the first
- * runs in fast mode so the TimedObserver per-detector wrappers are on
+ * runs in fast mode so the replay's per-detector block timing is on
  * the replay path. */
 std::vector<BatchItem>
 profileItems()

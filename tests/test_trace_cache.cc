@@ -245,6 +245,54 @@ TEST(TraceCacheRoundTrip, ColdMissRecordThenWarmHit)
         0.5);
 }
 
+/** FNV-1a 64 over @p bytes. */
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(TraceCacheRoundTrip, StoredContainerDigestIsPinned)
+{
+    // 20000 literal events (about 480 KB of payload, far past any
+    // stream buffer), so the whole store path (header, payload,
+    // checksum) is held to one digest.
+    Trace trace;
+    trace.siteNames = {"pin.lock", "pin.write", "pin.read"};
+    for (std::uint64_t i = 0; i < 20000; ++i) {
+        const ThreadId tid = static_cast<ThreadId>(i % 4);
+        const Addr data = 0x10000 + (i * 36) % 8192;
+        switch (i % 4) {
+        case 0:
+            trace.events.push_back(
+                ev(TraceKind::LockAcquire, tid, 0x1000, 0, 0, i));
+            break;
+        case 1:
+            trace.events.push_back(
+                ev(TraceKind::Write, tid, data & ~Addr{3}, 4, 1, i));
+            break;
+        case 2:
+            trace.events.push_back(
+                ev(TraceKind::Read, tid, data & ~Addr{7}, 8, 2, i));
+            break;
+        default:
+            trace.events.push_back(
+                ev(TraceKind::LockRelease, tid, 0x1000, 0, 0, i));
+            break;
+        }
+    }
+    TraceCache cache(tmpDir("tcache_digest"));
+    const TraceKey key = fixtureKey();
+    cache.store(key, trace);
+    EXPECT_EQ(fnv1a64(readFileBytes(cache.pathFor(key))),
+              0xe4e1340071596747ull);
+}
+
 TEST(TraceCacheRoundTrip, DistinctKeysGetDistinctEntries)
 {
     TraceCache cache(tmpDir("tcache_distinct"));
