@@ -19,23 +19,10 @@ widthMask(unsigned width)
                        : ((std::uint32_t{1} << width) - 1);
 }
 
-/** Validate a vector width; returns bits per part. */
-unsigned
-checkWidth(unsigned width)
-{
-    hard_fatal_if(width % BfVector::kParts != 0,
-                  "bloom: width %u not divisible into 4 parts", width);
-    unsigned part = width / BfVector::kParts;
-    hard_fatal_if(!isPowerOf2(part) || part < 2 || width > 32,
-                  "bloom: unsupported width %u", width);
-    return part;
-}
-
 } // namespace
 
-BfVector::BfVector(unsigned width_bits) : width_(width_bits)
+BfVector::BfVector(unsigned width_bits) : width_(checkWidth(width_bits))
 {
-    checkWidth(width_bits);
 }
 
 BfVector

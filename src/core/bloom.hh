@@ -13,6 +13,7 @@
 #ifndef HARD_CORE_BLOOM_HH
 #define HARD_CORE_BLOOM_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -45,14 +46,15 @@ class BfVector
     static BfVector signatureOf(Addr lock, unsigned width_bits);
 
     /**
-     * @return the raw signature bits of @p lock (no object).
+     * Fatal unless @p width_bits is a supported vector width.
+     * @return @p width_bits.
      *
-     * Header-inline so layers below hard_core (the provenance
-     * recorder used by the exact-lockset detector) can compute
-     * signatures without a link dependency.
+     * Header-inline, as is signatureBits(), so layers below hard_core
+     * (the provenance recorder used by the exact-lockset detector) can
+     * check widths and compute signatures without a link dependency.
      */
-    static std::uint32_t
-    signatureBits(Addr lock, unsigned width_bits)
+    static unsigned
+    checkWidth(unsigned width_bits)
     {
         hard_fatal_if(width_bits % kParts != 0,
                       "bloom: width %u not divisible into 4 parts",
@@ -60,7 +62,20 @@ class BfVector
         const unsigned part = width_bits / kParts;
         hard_fatal_if(!isPowerOf2(part) || part < 2 || width_bits > 32,
                       "bloom: unsupported width %u", width_bits);
-        const unsigned idx_bits = floorLog2(part);
+        return width_bits;
+    }
+
+    /**
+     * @return the raw signature bits of @p lock (no object) at
+     * @p width_bits, a width checkWidth() accepted. The width is not
+     * re-checked: every holder of a width checked it once, where the
+     * width was accepted (BfVector, LockRegister, ProvRecorder).
+     */
+    static std::uint32_t
+    signatureBits(Addr lock, unsigned width_bits)
+    {
+        const unsigned part = width_bits / kParts;
+        const auto idx_bits = static_cast<unsigned>(std::countr_zero(part));
         std::uint32_t sig = 0;
         // Figure 4: slice address bits starting at bit 2 into kParts
         // direct indices (16-bit: bits 2..9, 2 bits per part).

@@ -104,7 +104,7 @@ struct HardStats
  * sets, a MetaCache mirroring the L2 and the Lock Registers, plus the
  * hardware side that is HARD's alone.
  */
-class HardDetector
+class HardDetector final
     : public LocksetEngine<HardDetector, BloomAnd, MetaCache,
                            LockRegisterFile, NoFilter>
 {
@@ -118,10 +118,12 @@ class HardDetector
     HardDetector(const std::string &name, const HardConfig &cfg,
                  Bus *bus = nullptr);
 
-    void onRead(const Event &ev) override;
-    void onWrite(const Event &ev) override;
-    void onContextSwitch(const Event &ev) override;
-    void onLineEvicted(const Event &ev) override;
+    /** Out of line, hiding the engine's, so the access step is
+     * instantiated only beside the step hooks it inlines. */
+    void onRead(const Event &ev);
+    void onWrite(const Event &ev);
+    void onContextSwitch(const Event &ev);
+    void onLineEvicted(const Event &ev);
 
     /**
      * Mirror HardStats + metadata-store state into stats(), including

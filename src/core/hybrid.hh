@@ -33,7 +33,7 @@ namespace hard
 {
 
 /** Hybrid HARD+happens-before detector (paper §7). */
-class HybridDetector
+class HybridDetector final
     : public LocksetEngine<HybridDetector, BloomAnd, MetaCache,
                            LockRegisterFile, HbFilter<false, false>>
 {
@@ -57,9 +57,6 @@ class HybridDetector
         hard_fatal_if(!cfg.saveRestoreOnSwitch,
                       "hybrid: saveRestoreOnSwitch=false is not supported");
     }
-
-    void onRead(const Event &ev) override { access(ev, false); }
-    void onWrite(const Event &ev) override { access(ev, true); }
 
     /** @return lockset violations suppressed by non-lock ordering. */
     std::uint64_t prunedAlarms() const { return filtered_; }

@@ -41,16 +41,4 @@ DjitPlusDetector::access(const Event &ev, bool write)
     });
 }
 
-void
-DjitPlusDetector::onRead(const Event &ev)
-{
-    access(ev, false);
-}
-
-void
-DjitPlusDetector::onWrite(const Event &ev)
-{
-    access(ev, true);
-}
-
 } // namespace hard

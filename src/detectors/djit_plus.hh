@@ -25,6 +25,8 @@
 #ifndef HARD_DETECTORS_DJIT_PLUS_HH
 #define HARD_DETECTORS_DJIT_PLUS_HH
 
+#include <span>
+
 #include "detectors/lockset_core.hh"
 #include "detectors/sync_order.hh"
 
@@ -32,7 +34,7 @@ namespace hard
 {
 
 /** Full-vector DJIT+ happens-before detector. */
-class DjitPlusDetector : public ClockedDetector
+class DjitPlusDetector final : public ClockedDetector
 {
   public:
     /**
@@ -42,8 +44,14 @@ class DjitPlusDetector : public ClockedDetector
     DjitPlusDetector(const std::string &name,
                      unsigned granularity_bytes = 4);
 
-    void onRead(const Event &ev) override;
-    void onWrite(const Event &ev) override;
+    void
+    onEvents(std::span<const Event> evs) override
+    {
+        dispatchEvents(*this, evs);
+    }
+
+    void onRead(const Event &ev) { access(ev, false); }
+    void onWrite(const Event &ev) { access(ev, true); }
 
     /**
      * @return races whose unordered prior write was *not* the latest

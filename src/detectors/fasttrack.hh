@@ -20,7 +20,7 @@ namespace hard
 {
 
 /** Epoch happens-before detector on flat shadow memory. */
-class FastTrackDetector : public EpochHbDetector<ShadowMemory>
+class FastTrackDetector final : public EpochHbDetector<ShadowMemory>
 {
   public:
     /**

@@ -21,6 +21,7 @@
 #define HARD_DETECTORS_HAPPENS_BEFORE_HH
 
 #include <memory>
+#include <span>
 
 #include "detectors/meta_cache.hh"
 #include "detectors/sync_order.hh"
@@ -50,8 +51,14 @@ template <template <typename> class Storage>
 class EpochHbDetector : public ClockedDetector
 {
   public:
-    void onRead(const Event &ev) override { access(ev, false); }
-    void onWrite(const Event &ev) override { access(ev, true); }
+    void
+    onEvents(std::span<const Event> evs) override
+    {
+        dispatchEvents(*this, evs);
+    }
+
+    void onRead(const Event &ev) { access(ev, false); }
+    void onWrite(const Event &ev) { access(ev, true); }
 
     /** @return reads handled on the O(1) single-epoch fast path. */
     std::uint64_t fastPathReads() const { return fastReads_; }
@@ -163,7 +170,7 @@ struct HbConfig
 };
 
 /** Epoch happens-before detector on cache-geometry storage. */
-class HappensBeforeDetector : public EpochHbDetector<MetaCache>
+class HappensBeforeDetector final : public EpochHbDetector<MetaCache>
 {
   public:
     /**

@@ -13,6 +13,7 @@
 #ifndef HARD_DETECTORS_IDEAL_LOCKSET_HH
 #define HARD_DETECTORS_IDEAL_LOCKSET_HH
 
+#include <algorithm>
 #include <array>
 #include <set>
 
@@ -46,10 +47,13 @@ class IdealLocksetDetector
 {
   public:
     IdealLocksetDetector(const std::string &name,
-                         const IdealLocksetConfig &cfg);
-
-    void onRead(const Event &ev) override;
-    void onWrite(const Event &ev) override;
+                         const IdealLocksetConfig &cfg)
+        : Engine(name, "ideal-lockset",
+                 HeldLocks("ideal-lockset", cfg.tolerateUnbalanced),
+                 checkedGranularity("ideal-lockset", cfg.granularityBytes)),
+          cfg_(cfg)
+    {
+    }
 
     /** @return the current exact write-held lock set of @p tid
      * (mutexes + writer-mode rwlock holds). */
@@ -100,8 +104,22 @@ class IdealLocksetDetector
     friend Engine;
 
     template <bool kTraced>
-    void onMeet(const Event &ev, Addr a, bool write, LState before,
-                const Granule &g, Set old, Set held);
+    void
+    onMeet(const Event &ev, Addr a, bool write, LState before,
+           const Granule &g, Set, Set held)
+    {
+        const LocksetTable &table = locks_.table();
+        const bool universe = g.cand == kUniverseLockset;
+        const std::size_t sz = table.size(g.cand);
+        if (!universe) {
+            sizeStats_.maxCandidate = std::max(sizeStats_.maxCandidate, sz);
+            ++sizeStats_.candidateHist[std::min<std::size_t>(sz, 7)];
+        }
+        if constexpr (kTraced)
+            prov_->recordExactNarrow(a, ev.tid, ev.site, write, ev.at,
+                                     before, g.state, table, held, universe,
+                                     static_cast<unsigned>(sz));
+    }
 
     IdealLocksetConfig cfg_;
     /** maxLockset is read from the held locks when asked for. */

@@ -9,7 +9,10 @@
  * (BloomAnd, ExactMeet), the storage (MetaCache, ShadowMemory), the
  * lock tracking (LockRegisterFile, HeldLocks) and the report filter
  * (NoFilter, HbFilter). A detector derives from the engine as
- * @p Binding and may hide the hooks, which do nothing by default.
+ * @p Binding: the engine's onEvents() runs dispatchEvents() (report.hh)
+ * on the Binding's static type, so a Binding adds or replaces a
+ * handler by declaring one of the same name, and may hide the step
+ * hooks, which do nothing by default.
  * With a provenance recorder attached, the engine logs accesses,
  * reports and flash-resets; otherwise it runs an instantiation that
  * holds no provenance code.
@@ -18,6 +21,7 @@
 #ifndef HARD_DETECTORS_LOCKSET_ENGINE_HH
 #define HARD_DETECTORS_LOCKSET_ENGINE_HH
 
+#include <span>
 #include <string>
 #include <utility>
 
@@ -103,10 +107,19 @@ class LocksetEngine : public Filter::Base
         }
     };
 
+    void
+    onEvents(std::span<const Event> evs) override
+    {
+        dispatchEvents(self(), evs);
+    }
+
+    void onRead(const Event &ev) { access(ev, false); }
+    void onWrite(const Event &ev) { access(ev, true); }
+
     /** The sync order's lock edge first, if the filter's clock has
      * them, then the lock tracking. */
     void
-    onLockAcquire(const Event &ev) override
+    onLockAcquire(const Event &ev)
     {
         checkThread(ev.tid);
         if constexpr (Filter::kLockEdges)
@@ -115,7 +128,7 @@ class LocksetEngine : public Filter::Base
     }
 
     void
-    onLockRelease(const Event &ev) override
+    onLockRelease(const Event &ev)
     {
         checkThread(ev.tid);
         if constexpr (Filter::kLockEdges)
@@ -123,13 +136,12 @@ class LocksetEngine : public Filter::Base
         locks_.release(self().lockSlot(ev), ev.addr, true, false);
     }
 
-    /** A mode-blind tracker takes an rwlock through the (virtual) mutex
-     * hooks, so a subclass that ignores locks ignores rwlocks too. */
+    /** A mode-blind tracker takes an rwlock as a mutex. */
     void
-    onRwLockAcquire(const Event &ev, bool writer) override
+    onRwLockAcquire(const Event &ev, bool writer)
     {
         if constexpr (Locks::kModeBlind) {
-            this->onLockAcquire(ev);
+            onLockAcquire(ev);
         } else {
             checkThread(ev.tid);
             if constexpr (Filter::kLockEdges)
@@ -139,10 +151,10 @@ class LocksetEngine : public Filter::Base
     }
 
     void
-    onRwLockRelease(const Event &ev, bool writer) override
+    onRwLockRelease(const Event &ev, bool writer)
     {
         if constexpr (Locks::kModeBlind) {
-            this->onLockRelease(ev);
+            onLockRelease(ev);
         } else {
             checkThread(ev.tid);
             if constexpr (Filter::kLockEdges)
@@ -160,7 +172,7 @@ class LocksetEngine : public Filter::Base
      * epochs).
      */
     void
-    onBarrier(const Event &ev) override
+    onBarrier(const Event &ev)
     {
         if (self().config().barrierReset) {
             store_.onBarrier();
@@ -168,7 +180,8 @@ class LocksetEngine : public Filter::Base
                 prov_->recordFlashReset(ev.at, ev.episode);
             self().onFlashReset(ev);
         }
-        Base::onBarrier(ev);
+        if constexpr (Filter::kClocked)
+            Base::onBarrier(ev);
     }
 
   protected:

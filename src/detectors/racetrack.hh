@@ -39,7 +39,7 @@ namespace hard
 using RaceTrackConfig = IdealLocksetConfig;
 
 /** Adaptive lockset/happens-before hybrid with rwlock-aware sets. */
-class RaceTrackDetector
+class RaceTrackDetector final
     : public LocksetEngine<RaceTrackDetector, ExactMeet, ShadowMemory,
                            HeldLocks, HbFilter<true, true>>
 {
@@ -51,9 +51,6 @@ class RaceTrackDetector
           cfg_(cfg)
     {
     }
-
-    void onRead(const Event &ev) override { access(ev, false); }
-    void onWrite(const Event &ev) override { access(ev, true); }
 
     /** @return lockset alarms suppressed by the happens-before check. */
     std::uint64_t suppressed() const { return filtered_; }

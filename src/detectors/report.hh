@@ -6,6 +6,11 @@
  * report is mapped back to a static site and distinct sites are counted
  * once. ReportSink performs that deduplication eagerly so that long
  * runs do not accumulate unbounded dynamic-report lists.
+ *
+ * dispatchEvents() is the one kind switch between the event stream and
+ * a detector: it is instantiated on each concrete detector type, so a
+ * block of events costs one virtual call (onEvents) per detector and
+ * none per event.
  */
 
 #ifndef HARD_DETECTORS_REPORT_HH
@@ -13,6 +18,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -88,8 +94,9 @@ class ReportSink
 
 /**
  * Base class for all race detectors: an AccessObserver with a name and
- * a ReportSink. onEvent() is the one adapter from the event stream to
- * the named per-kind handlers below, which subclasses override.
+ * a ReportSink. It declares no per-kind handler: each concrete
+ * detector implements onEvents() as one dispatchEvents() call on its
+ * own static type.
  */
 class RaceDetector : public AccessObserver
 {
@@ -98,97 +105,6 @@ class RaceDetector : public AccessObserver
         : name_(std::move(name)), stats_("detector." + name_)
     {
     }
-
-    /** Dispatch @p ev to its handler by kind. */
-    void
-    onEvent(const Event &ev) final
-    {
-        switch (ev.kind) {
-          case EventKind::Read:
-            onRead(ev);
-            break;
-          case EventKind::Write:
-            onWrite(ev);
-            break;
-          case EventKind::LockAcquire:
-            onLockAcquire(ev);
-            break;
-          case EventKind::LockRelease:
-            onLockRelease(ev);
-            break;
-          case EventKind::Barrier:
-            onBarrier(ev);
-            break;
-          case EventKind::SemaPost:
-            onSemaPost(ev);
-            break;
-          case EventKind::SemaWait:
-            onSemaWait(ev);
-            break;
-          case EventKind::ThreadEnd:
-            break;
-          case EventKind::LineEvicted:
-            onLineEvicted(ev);
-            break;
-          case EventKind::RwRdAcquire:
-          case EventKind::RwWrAcquire:
-            onRwLockAcquire(ev, ev.kind == EventKind::RwWrAcquire);
-            break;
-          case EventKind::RwRdRelease:
-          case EventKind::RwWrRelease:
-            onRwLockRelease(ev, ev.kind == EventKind::RwWrRelease);
-            break;
-          case EventKind::CondSignal:
-            onCondSignal(ev);
-            break;
-          case EventKind::CondBroadcast:
-            onCondBroadcast(ev);
-            break;
-          case EventKind::CondWait:
-            onCondWait(ev);
-            break;
-          case EventKind::AtomicStore:
-            onAtomicStore(ev);
-            break;
-          case EventKind::AtomicLoad:
-            onAtomicLoad(ev);
-            break;
-          case EventKind::ContextSwitch:
-            onContextSwitch(ev);
-            break;
-        }
-    }
-
-    /** @name Per-kind handlers (EventKind documents each kind)
-     * @{ */
-    virtual void onRead(const Event &ev) { (void)ev; }
-    virtual void onWrite(const Event &ev) { (void)ev; }
-    virtual void onLockAcquire(const Event &ev) { (void)ev; }
-    virtual void onLockRelease(const Event &ev) { (void)ev; }
-    virtual void onBarrier(const Event &ev) { (void)ev; }
-    virtual void onSemaPost(const Event &ev) { (void)ev; }
-    virtual void onSemaWait(const Event &ev) { (void)ev; }
-    /** Rwlock holds; @p writer is the exclusive mode. */
-    virtual void
-    onRwLockAcquire(const Event &ev, bool writer)
-    {
-        (void)ev;
-        (void)writer;
-    }
-    virtual void
-    onRwLockRelease(const Event &ev, bool writer)
-    {
-        (void)ev;
-        (void)writer;
-    }
-    virtual void onCondSignal(const Event &ev) { (void)ev; }
-    virtual void onCondBroadcast(const Event &ev) { (void)ev; }
-    virtual void onCondWait(const Event &ev) { (void)ev; }
-    virtual void onAtomicStore(const Event &ev) { (void)ev; }
-    virtual void onAtomicLoad(const Event &ev) { (void)ev; }
-    virtual void onLineEvicted(const Event &ev) { (void)ev; }
-    virtual void onContextSwitch(const Event &ev) { (void)ev; }
-    /** @} */
 
     const std::string &name() const { return name_; }
     ReportSink &sink() { return sink_; }
@@ -236,6 +152,55 @@ class RaceDetector : public AccessObserver
     ReportSink sink_;
     StatGroup stats_;
 };
+
+/**
+ * The one adapter from the event stream to a detector's per-kind
+ * handlers: hand each event of @p evs to @p det's handler for its
+ * kind, called non-virtually on @p Det. The handlers are the public
+ * members onRead, onWrite, onLockAcquire, onLockRelease, onBarrier,
+ * onSemaPost, onSemaWait, onRwLockAcquire(ev, writer),
+ * onRwLockRelease(ev, writer), onCondSignal, onCondBroadcast,
+ * onCondWait, onAtomicStore, onAtomicLoad, onLineEvicted and
+ * onContextSwitch (EventKind documents each kind); a kind @p Det has
+ * no handler for is skipped.
+ */
+template <typename Det>
+void
+dispatchEvents(Det &det, std::span<const Event> evs)
+{
+#define HARD_DISPATCH(handler, ...)                                     \
+    if constexpr (requires { det.handler(__VA_ARGS__); })               \
+        det.handler(__VA_ARGS__);                                       \
+    break
+    for (const Event &ev : evs) {
+        switch (ev.kind) {
+          case EventKind::Read: HARD_DISPATCH(onRead, ev);
+          case EventKind::Write: HARD_DISPATCH(onWrite, ev);
+          case EventKind::LockAcquire: HARD_DISPATCH(onLockAcquire, ev);
+          case EventKind::LockRelease: HARD_DISPATCH(onLockRelease, ev);
+          case EventKind::Barrier: HARD_DISPATCH(onBarrier, ev);
+          case EventKind::SemaPost: HARD_DISPATCH(onSemaPost, ev);
+          case EventKind::SemaWait: HARD_DISPATCH(onSemaWait, ev);
+          case EventKind::ThreadEnd: break;
+          case EventKind::LineEvicted: HARD_DISPATCH(onLineEvicted, ev);
+          case EventKind::RwRdAcquire:
+          case EventKind::RwWrAcquire:
+            HARD_DISPATCH(onRwLockAcquire, ev,
+                          ev.kind == EventKind::RwWrAcquire);
+          case EventKind::RwRdRelease:
+          case EventKind::RwWrRelease:
+            HARD_DISPATCH(onRwLockRelease, ev,
+                          ev.kind == EventKind::RwWrRelease);
+          case EventKind::CondSignal: HARD_DISPATCH(onCondSignal, ev);
+          case EventKind::CondBroadcast: HARD_DISPATCH(onCondBroadcast, ev);
+          case EventKind::CondWait: HARD_DISPATCH(onCondWait, ev);
+          case EventKind::AtomicStore: HARD_DISPATCH(onAtomicStore, ev);
+          case EventKind::AtomicLoad: HARD_DISPATCH(onAtomicLoad, ev);
+          case EventKind::ContextSwitch: HARD_DISPATCH(onContextSwitch, ev);
+        }
+    }
+#undef HARD_DISPATCH
+}
 
 } // namespace hard
 

@@ -4,7 +4,9 @@
  * detector (happens-before, FastTrack, DJIT+, RaceTrack and the §7
  * hybrid): per-thread vector clocks plus the release clocks of each
  * synchronization object, and the ClockedDetector base class that
- * implements every sync hook on top of them.
+ * implements every sync handler on top of them. The handlers are plain
+ * members, reached through dispatchEvents() (report.hh) on the
+ * concrete detector's type.
  *
  * A release joins the releasing thread's clock into the object and
  * advances the thread into a fresh epoch, so its later accesses are
@@ -149,12 +151,12 @@ class SyncOrder
 
 /**
  * A RaceDetector whose synchronization order is a SyncOrder. Every
- * sync hook is implemented here, once; subclasses keep only their
+ * sync handler is implemented here, once; subclasses keep only their
  * shadow state and access() check, reading the accessing thread's
- * clock through clock(). A subclass that needs more from a hook
- * (RaceTrack's held-lock sets, barrier flash-resets) overrides it and
+ * clock through clock(). A subclass that needs more from a handler
+ * (RaceTrack's held-lock sets, barrier flash-resets) hides it and
  * calls the base; one that must keep an edge out of its order (the
- * hybrid's lock edges) overrides it without calling the base.
+ * hybrid's lock edges) hides it without calling the base.
  */
 class ClockedDetector : public RaceDetector
 {
@@ -162,25 +164,25 @@ class ClockedDetector : public RaceDetector
     using RaceDetector::RaceDetector;
 
     void
-    onLockAcquire(const Event &ev) override
+    onLockAcquire(const Event &ev)
     {
         sync_.acquire(SyncKind::Lock, ev.tid, ev.addr);
     }
 
     void
-    onLockRelease(const Event &ev) override
+    onLockRelease(const Event &ev)
     {
         sync_.release(SyncKind::Lock, ev.tid, ev.addr);
     }
 
     void
-    onRwLockAcquire(const Event &ev, bool writer) override
+    onRwLockAcquire(const Event &ev, bool writer)
     {
         sync_.rwAcquire(ev.tid, ev.addr, writer);
     }
 
     void
-    onRwLockRelease(const Event &ev, bool writer) override
+    onRwLockRelease(const Event &ev, bool writer)
     {
         sync_.rwRelease(ev.tid, ev.addr, writer);
     }
@@ -189,13 +191,13 @@ class ClockedDetector : public RaceDetector
      * raises fewer false alarms than lockset: a post releases the
      * poster's history, a completed wait acquires it. */
     void
-    onSemaPost(const Event &ev) override
+    onSemaPost(const Event &ev)
     {
         sync_.release(SyncKind::Sema, ev.tid, ev.addr);
     }
 
     void
-    onSemaWait(const Event &ev) override
+    onSemaWait(const Event &ev)
     {
         sync_.acquire(SyncKind::Sema, ev.tid, ev.addr);
     }
@@ -203,19 +205,19 @@ class ClockedDetector : public RaceDetector
     /** Signal and broadcast release into the condvar; a completed wait
      * acquires (the same shape as semaphores). */
     void
-    onCondSignal(const Event &ev) override
+    onCondSignal(const Event &ev)
     {
         sync_.release(SyncKind::Cond, ev.tid, ev.addr);
     }
 
     void
-    onCondBroadcast(const Event &ev) override
+    onCondBroadcast(const Event &ev)
     {
         sync_.release(SyncKind::Cond, ev.tid, ev.addr);
     }
 
     void
-    onCondWait(const Event &ev) override
+    onCondWait(const Event &ev)
     {
         sync_.acquire(SyncKind::Cond, ev.tid, ev.addr);
     }
@@ -224,19 +226,19 @@ class ClockedDetector : public RaceDetector
      * it up. Sound for the recorded global completion order (each
      * load observes the latest prior store). */
     void
-    onAtomicStore(const Event &ev) override
+    onAtomicStore(const Event &ev)
     {
         sync_.release(SyncKind::Atomic, ev.tid, ev.addr);
     }
 
     void
-    onAtomicLoad(const Event &ev) override
+    onAtomicLoad(const Event &ev)
     {
         sync_.acquire(SyncKind::Atomic, ev.tid, ev.addr);
     }
 
     void
-    onBarrier(const Event &ev) override
+    onBarrier(const Event &ev)
     {
         (void)ev;
         sync_.barrier();

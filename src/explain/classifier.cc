@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <span>
 
 #include "common/bitops.hh"
 #include "trace/replayer.hh"
@@ -92,24 +93,21 @@ struct UnderRep
 
 /** R3: exact lockset with HARD's mode-blind rwlock view — a reader
  * hold enters (and leaves) the write-held set like a mutex. */
-class ModeBlindLockset : public IdealLocksetDetector
+class ModeBlindLockset final : public IdealLocksetDetector
 {
   public:
     using IdealLocksetDetector::IdealLocksetDetector;
 
+    /** Dispatch on this type, so the two rwlock handlers below hide
+     * the engine's. */
     void
-    onRwLockAcquire(const Event &ev, bool writer) override
+    onEvents(std::span<const Event> evs) override
     {
-        (void)writer;
-        onLockAcquire(ev);
+        dispatchEvents(*this, evs);
     }
 
-    void
-    onRwLockRelease(const Event &ev, bool writer) override
-    {
-        (void)writer;
-        onLockRelease(ev);
-    }
+    void onRwLockAcquire(const Event &ev, bool) { onLockAcquire(ev); }
+    void onRwLockRelease(const Event &ev, bool) { onLockRelease(ev); }
 };
 
 UnderRep
@@ -160,22 +158,19 @@ explainTrace(const Trace &trace, const ExplainConfig &cfg)
     std::unique_ptr<IdealLocksetDetector> ideal_det;
     RaceDetector *subject = nullptr;
     if (hard_subject) {
-        hard_det = cfg.makeHard
-            ? cfg.makeHard(cfg.hard)
-            : std::make_unique<HardDetector>("explain-subject",
-                                             cfg.hard);
+        hard_det = std::make_unique<HardDetector>("explain-subject",
+                                                  cfg.hard);
         hard_det->attachProvenance(&subj_prov);
         subject = hard_det.get();
     } else {
         IdealLocksetConfig ic = cfg.ideal;
         ic.tolerateUnbalanced = true;
-        ideal_det = cfg.makeIdeal
-            ? cfg.makeIdeal(ic)
-            : std::make_unique<IdealLocksetDetector>("explain-subject",
-                                                     ic);
+        ideal_det = std::make_unique<IdealLocksetDetector>(
+            "explain-subject", ic);
         ideal_det->attachProvenance(&subj_prov);
         subject = ideal_det.get();
     }
+    KindFilter subject_view(*subject, cfg.dropKinds);
 
     // R: exact lockset at the subject's granularity and barrier
     // semantics — isolates implementation artifacts.
@@ -212,7 +207,7 @@ explainTrace(const Trace &trace, const ExplainConfig &cfg)
     fc.tolerateUnbalanced = true;
     IdealLocksetDetector ref_fine("explain-ref-fine", fc);
 
-    std::vector<AccessObserver *> observers = {subject, &ref_same,
+    std::vector<AccessObserver *> observers = {&subject_view, &ref_same,
                                                &ref_fine};
     if (ref_reset)
         observers.push_back(ref_reset.get());

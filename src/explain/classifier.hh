@@ -30,7 +30,6 @@
 #ifndef HARD_EXPLAIN_CLASSIFIER_HH
 #define HARD_EXPLAIN_CLASSIFIER_HH
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -98,16 +97,11 @@ struct ExplainConfig
     unsigned ringDepth = ProvRecorder::kDefaultDepth;
 
     /**
-     * Optional subject builder overrides (e.g. the fuzzer's sabotaged
-     * detector variants). When set, the classifier instruments the
-     * returned instance instead of a stock detector; the references
-     * stay exact, so the attribution names what the override broke.
+     * Event kinds the subject never sees (the fuzzer's sabotage,
+     * fuzz/weaken.hh). The references see every event, so the
+     * attribution names what the dropped kinds broke.
      */
-    std::function<std::unique_ptr<HardDetector>(const HardConfig &)>
-        makeHard;
-    std::function<std::unique_ptr<IdealLocksetDetector>(
-        const IdealLocksetConfig &)>
-        makeIdeal;
+    EventKindMask dropKinds = 0;
 };
 
 /** One subject report plus the granule's recorded causal chain. */

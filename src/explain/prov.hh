@@ -152,7 +152,8 @@ class ProvRecorder
     explicit ProvRecorder(unsigned granularity_bytes,
                           unsigned bloom_bits = 16,
                           unsigned ring_depth = kDefaultDepth)
-        : gran_(granularity_bytes), bloomBits_(bloom_bits),
+        : gran_(granularity_bytes),
+          bloomBits_(BfVector::checkWidth(bloom_bits)),
           depth_(ring_depth ? ring_depth : 1)
     {
     }

@@ -50,9 +50,9 @@ explainLocksetSubject(const Trace &trace, const FuzzConfig &cfg)
 {
     ExplainConfig ec;
     if (cfg.weaken == Weaken::Ideal) {
-        // NoResetIdealLockset ignores barriers; an exact subject
-        // configured without the flash-reset behaves identically, and
-        // the classifier's R2 reference then names the sabotage.
+        // The sabotage drops barriers; an exact subject configured
+        // without the flash-reset behaves identically, and the
+        // classifier's R2 reference then names the sabotage.
         ec.subject = ExplainConfig::Subject::IdealLockset;
         ec.ideal.granularityBytes = cfg.granularity;
         ec.ideal.barrierReset = false;
@@ -62,11 +62,7 @@ explainLocksetSubject(const Trace &trace, const FuzzConfig &cfg)
         ec.hard.bloomBits = cfg.bloomBits;
         // The fuzz battery runs HARD unbounded (containment needs it).
         ec.hard.unbounded = true;
-        if (cfg.weaken == Weaken::Hard)
-            ec.makeHard = [](const HardConfig &hc) {
-                return std::unique_ptr<HardDetector>(
-                    new DeafHardDetector("explain-subject", hc));
-            };
+        ec.dropKinds = weakenedKinds(cfg.weaken);
     }
 
     ExplainResult res = explainTrace(trace, ec);
@@ -99,16 +95,12 @@ explainClockSubject(const Trace &trace, const FuzzConfig &cfg)
 
     std::unique_ptr<RaceDetector> subject;
     if (djit)
-        subject =
-            std::make_unique<RwDeafDjitDetector>("explain-subject", 4);
-    else if (cfg.weaken == Weaken::Hb)
-        subject = std::make_unique<DeafHbDetector>("explain-subject",
-                                                   HbConfig::ideal());
+        subject = std::make_unique<DjitPlusDetector>("explain-subject", 4);
     else
         subject = std::make_unique<HappensBeforeDetector>(
             "explain-subject", HbConfig::ideal());
-    std::vector<AccessObserver *> obs{subject.get()};
-    replayTrace(trace, obs);
+    KindFilter deaf(*subject, weakenedKinds(cfg.weaken));
+    replayTrace(trace, {&deaf});
     subject->finalize();
 
     const KeySet subj = reportKeys(subject->sink());
@@ -203,10 +195,10 @@ explainRacetrackSubject(const Trace &trace, const FuzzConfig &cfg)
     RaceTrackConfig rtc;
     rtc.granularityBytes = 4;
     rtc.tolerateUnbalanced = true;
-    ReadBlindRaceTrack subject("explain-subject", rtc);
+    RaceTrackDetector subject("explain-subject", rtc);
+    KindFilter read_blind(subject, weakenedKinds(cfg.weaken));
     RaceTrackDetector honest("explain-ref", rtc);
-    std::vector<AccessObserver *> obs{&subject, &honest};
-    replayTrace(trace, obs);
+    replayTrace(trace, {&read_blind, &honest});
     subject.finalize();
     honest.finalize();
 

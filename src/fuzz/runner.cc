@@ -67,14 +67,18 @@ FuzzBattery::detectors() const
 }
 
 std::vector<AccessObserver *>
-FuzzBattery::sampledTaps() const
+FuzzBattery::observers() const
 {
-    std::vector<AccessObserver *> taps;
+    std::vector<AccessObserver *> obs;
+    for (RaceDetector *d : detectors())
+        obs.push_back(weakenedTap && &weakenedTap->inner() == d
+                          ? static_cast<AccessObserver *>(weakenedTap.get())
+                          : d);
     if (idealSampledTap)
-        taps.push_back(idealSampledTap.get());
+        obs.push_back(idealSampledTap.get());
     if (hbSampledTap)
-        taps.push_back(hbSampledTap.get());
-    return taps;
+        obs.push_back(hbSampledTap.get());
+    return obs;
 }
 
 std::vector<RaceDetector *>
@@ -110,38 +114,42 @@ makeFuzzBattery(const FuzzConfig &cfg)
     icFine.granularityBytes = 4;
 
     FuzzBattery b;
-    if (cfg.weaken == Weaken::Hard)
-        b.hard = std::make_unique<DeafHardDetector>("hard", hc);
-    else
-        b.hard = std::make_unique<HardDetector>("hard", hc);
-    if (cfg.weaken == Weaken::Ideal)
-        b.ideal =
-            std::make_unique<NoResetIdealLockset>("ideal-lockset", ic);
-    else
-        b.ideal =
-            std::make_unique<IdealLocksetDetector>("ideal-lockset", ic);
+    b.hard = std::make_unique<HardDetector>("hard", hc);
+    b.ideal = std::make_unique<IdealLocksetDetector>("ideal-lockset", ic);
     b.idealFine = std::make_unique<IdealLocksetDetector>(
         "ideal-lockset-fine", icFine);
     b.hybrid = std::make_unique<HybridDetector>("hybrid", hc);
-    if (cfg.weaken == Weaken::Hb)
-        b.hb = std::make_unique<DeafHbDetector>("happens-before-ideal",
-                                                HbConfig::ideal());
-    else
-        b.hb = std::make_unique<HappensBeforeDetector>(
-            "happens-before-ideal", HbConfig::ideal());
+    b.hb = std::make_unique<HappensBeforeDetector>("happens-before-ideal",
+                                                   HbConfig::ideal());
     b.fasttrack = std::make_unique<FastTrackDetector>("fasttrack", 4);
-    if (cfg.weaken == Weaken::Djit)
-        b.djit = std::make_unique<RwDeafDjitDetector>("djit-plus", 4);
-    else
-        b.djit = std::make_unique<DjitPlusDetector>("djit-plus", 4);
+    b.djit = std::make_unique<DjitPlusDetector>("djit-plus", 4);
     RaceTrackConfig rtc;
     rtc.granularityBytes = 4;
-    if (cfg.weaken == Weaken::Racetrack)
-        b.racetrack =
-            std::make_unique<ReadBlindRaceTrack>("racetrack", rtc);
-    else
-        b.racetrack =
-            std::make_unique<RaceTrackDetector>("racetrack", rtc);
+    b.racetrack = std::make_unique<RaceTrackDetector>("racetrack", rtc);
+
+    RaceDetector *weakened = nullptr;
+    switch (cfg.weaken) {
+      case Weaken::None:
+        break;
+      case Weaken::Hard:
+        weakened = b.hard.get();
+        break;
+      case Weaken::Hb:
+        weakened = b.hb.get();
+        break;
+      case Weaken::Ideal:
+        weakened = b.ideal.get();
+        break;
+      case Weaken::Djit:
+        weakened = b.djit.get();
+        break;
+      case Weaken::Racetrack:
+        weakened = b.racetrack.get();
+        break;
+    }
+    if (weakened != nullptr)
+        b.weakenedTap = std::make_unique<KindFilter>(
+            *weakened, weakenedKinds(cfg.weaken));
 
     // Sampled cross-check legs: honest (never weakened) clones of the
     // ideal lockset and HB detectors behind granule-mode sampling
@@ -338,15 +346,11 @@ analyzeTrace(const Trace &trace, const FuzzConfig &cfg)
     FuzzBattery b = makeFuzzBattery(cfg);
     // With the profiler on, each battery member's dispatch time lands
     // in its own phase, timed per block by the replay itself.
-    std::vector<AccessObserver *> obs;
+    const std::vector<AccessObserver *> obs = b.observers();
     ReplayOptions replay;
-    for (RaceDetector *d : b.detectors()) {
-        obs.push_back(d);
-        if (Profiler::active() != nullptr)
+    if (Profiler::active() != nullptr)
+        for (RaceDetector *d : b.detectors())
             replay.phases.push_back("fuzz.analyze.detector." + d->name());
-    }
-    for (AccessObserver *tap : b.sampledTaps())
-        obs.push_back(tap);
     {
         ScopedPhase phase("fuzz.analyze.replay");
         replayTrace(trace, obs, replay);
@@ -400,10 +404,8 @@ runFuzzSeed(std::uint64_t seed, const FuzzOptions &opts)
             {
                 ScopedPhase phase("fuzz.seed.simulate");
                 System sys(sim, prog);
-                for (RaceDetector *d : battery.detectors())
-                    sys.addObserver(d);
-                for (AccessObserver *tap : battery.sampledTaps())
-                    sys.addObserver(tap);
+                for (AccessObserver *obs : battery.observers())
+                    sys.addObserver(obs);
                 sys.addObserver(&recorder);
                 sys.run();
             }

@@ -129,12 +129,19 @@ struct FuzzBattery
     std::unique_ptr<SamplingObserver> idealSampledTap;
     std::unique_ptr<SamplingObserver> hbSampledTap;
 
-    /** All unsampled detectors, in a stable order (these observe the
-     * full event stream directly). */
+    /** The filter in front of the weakened member, dropping its
+     * weakenedKinds() (null unless cfg.weaken is set). */
+    std::unique_ptr<KindFilter> weakenedTap;
+
+    /** All unsampled detectors, in a stable order. */
     std::vector<RaceDetector *> detectors() const;
 
-    /** Sampling taps to attach as observers (empty when rate = 1). */
-    std::vector<AccessObserver *> sampledTaps() const;
+    /**
+     * What to attach to a run, in detectors() order: each detector, or
+     * the filter in front of the weakened one; then the sampling taps.
+     * Never attach detectors() directly.
+     */
+    std::vector<AccessObserver *> observers() const;
 
     /** The sampled legs' detectors, for finalize/key collection
      * (empty when rate = 1). Never attach these directly — they must

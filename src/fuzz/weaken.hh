@@ -1,13 +1,15 @@
 /**
  * @file
- * Deliberately broken detector variants — fuzzer self-test hooks.
+ * Deliberately broken detectors — fuzzer self-test hooks.
  *
  * A differential fuzzer that never fires is indistinguishable from one
- * that cannot fire. These subclasses each disable one load-bearing
- * piece of a production detector so the corresponding invariant *must*
- * trip on workloads that exercise it; `hardfuzz --weaken=...` (and the
- * ctest wired as WILL_FAIL) prove the whole
- * generate→check→minimize→repro pipeline end to end.
+ * that cannot fire. Each Weaken value makes one production detector
+ * deaf to the event kinds one load-bearing piece of it handles, so the
+ * corresponding invariant *must* trip on workloads that exercise it;
+ * `hardfuzz --weaken=...` (and the ctest wired as WILL_FAIL) prove the
+ * whole generate→check→minimize→repro pipeline end to end. The
+ * sabotage is a table, weakenedKinds(): no detector is subclassed, so
+ * a weakened detector is the production code minus some events.
  */
 
 #ifndef HARD_FUZZ_WEAKEN_HH
@@ -15,11 +17,7 @@
 
 #include <string>
 
-#include "core/hard_detector.hh"
-#include "detectors/djit_plus.hh"
-#include "detectors/happens_before.hh"
-#include "detectors/ideal_lockset.hh"
-#include "detectors/racetrack.hh"
+#include "sim/observer.hh"
 
 namespace hard
 {
@@ -57,94 +55,36 @@ Weaken parseWeaken(const std::string &name);
 /** @return the CLI name of @p w. */
 const char *weakenName(Weaken w);
 
-/** HARD that never updates its Lock/Counter Registers. */
-class DeafHardDetector : public HardDetector
+/**
+ * @return the event kinds the sabotaged detector of @p w never sees
+ * (none for Weaken::None). The runner runs the production detector
+ * behind a KindFilter (sim/observer.hh) that drops exactly these.
+ */
+constexpr EventKindMask
+weakenedKinds(Weaken w)
 {
-  public:
-    DeafHardDetector(const std::string &name, const HardConfig &cfg)
-        : HardDetector(name, cfg)
-    {
+    constexpr EventKindMask kRwRead = kindBit(EventKind::RwRdAcquire) |
+        kindBit(EventKind::RwRdRelease);
+    constexpr EventKindMask kRw = kRwRead |
+        kindBit(EventKind::RwWrAcquire) | kindBit(EventKind::RwWrRelease);
+    switch (w) {
+      case Weaken::None:
+        return 0;
+      case Weaken::Hard:
+        // HARD's rwlock holds take the mutex path: mode-blind (§3.3).
+        return kindBit(EventKind::LockAcquire) |
+            kindBit(EventKind::LockRelease) | kRw;
+      case Weaken::Hb:
+        return kindBit(EventKind::SemaPost) | kindBit(EventKind::SemaWait);
+      case Weaken::Ideal:
+        return kindBit(EventKind::Barrier);
+      case Weaken::Djit:
+        return kRw;
+      case Weaken::Racetrack:
+        return kRwRead;
     }
-
-    void onLockAcquire(const Event &ev) override { (void)ev; }
-    void onLockRelease(const Event &ev) override { (void)ev; }
-};
-
-/** Happens-before that is deaf to semaphore synchronization. */
-class DeafHbDetector : public HappensBeforeDetector
-{
-  public:
-    DeafHbDetector(const std::string &name, const HbConfig &cfg)
-        : HappensBeforeDetector(name, cfg)
-    {
-    }
-
-    void onSemaPost(const Event &ev) override { (void)ev; }
-    void onSemaWait(const Event &ev) override { (void)ev; }
-};
-
-/** Ideal lockset that forgets to flash-reset at barriers. */
-class NoResetIdealLockset : public IdealLocksetDetector
-{
-  public:
-    NoResetIdealLockset(const std::string &name,
-                        const IdealLocksetConfig &cfg)
-        : IdealLocksetDetector(name, cfg)
-    {
-    }
-
-    void onBarrier(const Event &ev) override { (void)ev; }
-};
-
-/** DJIT+ that is deaf to rwlock release→acquire edges. */
-class RwDeafDjitDetector : public DjitPlusDetector
-{
-  public:
-    RwDeafDjitDetector(const std::string &name, unsigned granularity)
-        : DjitPlusDetector(name, granularity)
-    {
-    }
-
-    void
-    onRwLockAcquire(const Event &ev, bool writer) override
-    {
-        (void)ev;
-        (void)writer;
-    }
-
-    void
-    onRwLockRelease(const Event &ev, bool writer) override
-    {
-        (void)ev;
-        (void)writer;
-    }
-};
-
-/** RaceTrack that ignores reader-mode rwlock holds entirely: neither
- * the read-held lockset nor the writer→reader ordering is tracked. */
-class ReadBlindRaceTrack : public RaceTrackDetector
-{
-  public:
-    ReadBlindRaceTrack(const std::string &name,
-                       const RaceTrackConfig &cfg)
-        : RaceTrackDetector(name, cfg)
-    {
-    }
-
-    void
-    onRwLockAcquire(const Event &ev, bool writer) override
-    {
-        if (writer)
-            RaceTrackDetector::onRwLockAcquire(ev, writer);
-    }
-
-    void
-    onRwLockRelease(const Event &ev, bool writer) override
-    {
-        if (writer)
-            RaceTrackDetector::onRwLockRelease(ev, writer);
-    }
-};
+    return 0;
+}
 
 } // namespace hard
 

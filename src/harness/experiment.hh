@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -211,15 +212,18 @@ class ExposureObserver : public AccessObserver
     }
 
     void
-    onEvent(const Event &ev) override
+    onEvents(std::span<const Event> evs) override
     {
-        if (exposeCycle_ >= 0 || !ev.isAccess())
+        if (exposeCycle_ >= 0)
             return;
-        if (!inj_.overlaps(ev.addr, ev.size))
+        for (const Event &ev : evs) {
+            if (!ev.isAccess() || !inj_.overlaps(ev.addr, ev.size))
+                continue;
+            if (!trueSites_.empty() && trueSites_.count(ev.site) == 0)
+                continue;
+            exposeCycle_ = static_cast<std::int64_t>(ev.at);
             return;
-        if (!trueSites_.empty() && trueSites_.count(ev.site) == 0)
-            return;
-        exposeCycle_ = static_cast<std::int64_t>(ev.at);
+        }
     }
 
     /** Cycle of the first exposing access, or -1 if none occurred. */

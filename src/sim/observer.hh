@@ -8,13 +8,21 @@
  * drive HARD, happens-before and the ideal-lockset detector on an
  * *identical* interleaving — the comparison methodology of paper §5.1.
  * The stream is one record type, Event, from the simulator through the
- * trace (trace/trace.hh stores the same record) to the detectors.
+ * trace (trace/trace.hh stores the same record) to the detectors, and
+ * one entry point, AccessObserver::onEvents(), which takes a block of
+ * events: the replayer hands each observer a whole decoded block, the
+ * live simulator a block of one. An observer that filters the stream
+ * (sampling, the fuzzer's sabotage) is a ForwardingObserver: it hands
+ * its inner observer the maximal runs of the events it keeps, so no
+ * event is copied.
  */
 
 #ifndef HARD_SIM_OBSERVER_HH
 #define HARD_SIM_OBSERVER_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/types.hh"
 #include "mem/cstate.hh"
@@ -141,16 +149,18 @@ struct Event
 static_assert(sizeof(Event) <= 48, "the event record must stay 48 bytes");
 
 /**
- * Passive observer of the simulated execution. onEvent() is invoked
- * for every event in global completion-cycle order.
+ * Passive observer of the simulated execution. onEvents() is invoked
+ * with consecutive blocks of the event stream, in global
+ * completion-cycle order; how the stream is cut into blocks carries no
+ * meaning.
  */
 class AccessObserver
 {
   public:
     virtual ~AccessObserver() = default;
 
-    /** Observe one event. */
-    virtual void onEvent(const Event &ev) = 0;
+    /** Observe the next @p evs.size() events, in order. */
+    virtual void onEvents(std::span<const Event> evs) = 0;
 
     /** @name Telemetry hooks (all optional)
      * Called by System when the corresponding telemetry facility is
@@ -171,6 +181,91 @@ class AccessObserver
         (void)sampler;
     }
     /** @} */
+};
+
+/**
+ * Base of the observers that pass a filtered stream on to one inner
+ * observer. The telemetry registrations forward untouched.
+ */
+class ForwardingObserver : public AccessObserver
+{
+  public:
+    explicit ForwardingObserver(AccessObserver &inner) : inner_(inner) {}
+
+    void
+    registerStats(StatRegistry &registry) override
+    {
+        inner_.registerStats(registry);
+    }
+    void attachTracer(EventTracer *tracer) override
+    {
+        inner_.attachTracer(tracer);
+    }
+    void
+    registerProbes(IntervalSampler &sampler) override
+    {
+        inner_.registerProbes(sampler);
+    }
+
+    /** @return the observer the kept events go to. */
+    AccessObserver &inner() const { return inner_; }
+
+  protected:
+    /** Hand inner() every event of @p evs that @p keep accepts, as one
+     * onEvents() call per maximal run of kept events. */
+    template <typename Keep>
+    void
+    forwardRuns(std::span<const Event> evs, const Keep &keep) const
+    {
+        std::size_t first = 0;
+        for (std::size_t i = 0; i < evs.size(); ++i) {
+            if (keep(evs[i]))
+                continue;
+            if (i > first)
+                inner_.onEvents(evs.subspan(first, i - first));
+            first = i + 1;
+        }
+        if (first < evs.size())
+            inner_.onEvents(evs.subspan(first));
+    }
+
+  private:
+    AccessObserver &inner_;
+};
+
+/** A set of EventKinds, one bit per kind. */
+using EventKindMask = std::uint32_t;
+
+/** @return the mask holding @p kind alone. */
+constexpr EventKindMask
+kindBit(EventKind kind)
+{
+    return EventKindMask{1} << static_cast<unsigned>(kind);
+}
+
+/**
+ * Forwards every event whose kind is not in a mask. The fuzzer's
+ * self-test runs a production detector behind one of these to make it
+ * deaf to chosen events (fuzz/weaken.hh).
+ */
+class KindFilter : public ForwardingObserver
+{
+  public:
+    KindFilter(AccessObserver &inner, EventKindMask drop)
+        : ForwardingObserver(inner), drop_(drop)
+    {
+    }
+
+    void
+    onEvents(std::span<const Event> evs) override
+    {
+        forwardRuns(evs, [this](const Event &ev) {
+            return (drop_ & kindBit(ev.kind)) == 0;
+        });
+    }
+
+  private:
+    EventKindMask drop_;
 };
 
 } // namespace hard

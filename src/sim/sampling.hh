@@ -137,43 +137,30 @@ sampleDecision(const SamplingSpec &s, Addr addr, Cycle at)
  * Forwarding wrapper that feeds an inner observer the sampled
  * substream: data accesses pass through sampleDecision(); every other
  * event — synchronization, thread lifecycle, line evictions, context
- * switches — and the telemetry registrations forward untouched.
- * Wrap a detector in one of these to run it at rate r.
+ * switches — and the telemetry registrations forward untouched. Each
+ * maximal run of kept events in a block reaches the inner observer as
+ * one onEvents() call. Wrap a detector in one of these to run it at
+ * rate r.
  */
-class SamplingObserver : public AccessObserver
+class SamplingObserver : public ForwardingObserver
 {
   public:
     SamplingObserver(AccessObserver &inner, const SamplingSpec &spec)
-        : inner_(inner), spec_(spec)
+        : ForwardingObserver(inner), spec_(spec)
     {
     }
 
     void
-    onEvent(const Event &ev) override
+    onEvents(std::span<const Event> evs) override
     {
-        if (!ev.isAccess() || sampleDecision(spec_, ev.addr, ev.at))
-            inner_.onEvent(ev);
-    }
-
-    void
-    registerStats(StatRegistry &registry) override
-    {
-        inner_.registerStats(registry);
-    }
-    void attachTracer(EventTracer *tracer) override
-    {
-        inner_.attachTracer(tracer);
-    }
-    void
-    registerProbes(IntervalSampler &sampler) override
-    {
-        inner_.registerProbes(sampler);
+        forwardRuns(evs, [this](const Event &ev) {
+            return !ev.isAccess() || sampleDecision(spec_, ev.addr, ev.at);
+        });
     }
 
     const SamplingSpec &spec() const { return spec_; }
 
   private:
-    AccessObserver &inner_;
     SamplingSpec spec_;
 };
 

@@ -162,7 +162,7 @@ void
 System::notify(const Event &ev)
 {
     for (AccessObserver *obs : observers_)
-        obs->onEvent(ev);
+        obs->onEvents({&ev, 1});
 }
 
 void

@@ -7,6 +7,8 @@
 #ifndef HARD_TRACE_RECORDER_HH
 #define HARD_TRACE_RECORDER_HH
 
+#include <span>
+
 #include "sim/program.hh"
 #include "trace/trace.hh"
 
@@ -24,17 +26,19 @@ class TraceRecorder : public AccessObserver
     explicit TraceRecorder(const Program &prog) : prog_(&prog) {}
 
     /**
-     * Store @p ev as the trace keeps it: no core (replay binds thread
-     * t to core t) and no context switches, so an in-memory recording
-     * replays exactly as its serialized bytes do.
+     * Store @p evs as the trace keeps them: no core (replay binds
+     * thread t to core t) and no context switches, so an in-memory
+     * recording replays exactly as its serialized bytes do.
      */
     void
-    onEvent(const Event &ev) override
+    onEvents(std::span<const Event> evs) override
     {
-        if (ev.kind == EventKind::ContextSwitch)
-            return;
-        Event &te = trace_.events.emplace_back(ev);
-        te.core = te.tid;
+        for (const Event &ev : evs) {
+            if (ev.kind == EventKind::ContextSwitch)
+                continue;
+            Event &te = trace_.events.emplace_back(ev);
+            te.core = te.tid;
+        }
     }
 
     /** Finish recording and take the trace (site table filled in). */

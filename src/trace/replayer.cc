@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <exception>
-#include <new>
 #include <system_error>
 #include <thread>
-#include <type_traits>
 
 #include "telemetry/profile.hh"
 
@@ -86,19 +83,16 @@ replayBlocks(std::size_t nevents,
                     const bool timed = lane.phases[m] != nullptr;
                     const Clock::time_point t0 =
                         timed ? Clock::now() : Clock::time_point{};
-                    std::size_t i = 0;
                     try {
-                        for (; i < n; ++i)
-                            obs->onEvent(evs[i]);
+                        obs->onEvents({evs, n});
                     } catch (...) {
                         errors[k] = std::current_exception();
-                        ++i; // the throwing event was handed over too
                     }
                     if (timed) {
                         lane.wall[m] += std::chrono::duration<double>(
                                             Clock::now() - t0)
                                             .count();
-                        lane.calls[m] += i;
+                        lane.calls[m] += n;
                     }
                 }
             }
@@ -161,19 +155,7 @@ replayPacked(const PackedTraceView &view,
     return replayBlocks(
         nevents, observers, opts, std::min(kReplayBlock, nevents),
         [records](std::size_t first, std::size_t n, Event *buf) {
-            // Records may sit unaligned after the variable-length site
-            // table; the per-record memcpy keeps the loads
-            // well-defined.
-            // Each event is built in place: assigning unpack()'s result
-            // would build it in a temporary and copy it, which costs
-            // about as much again as the decode.
-            static_assert(std::is_trivially_destructible_v<Event>);
-            const char *rec = records + first * sizeof(Event::Packed);
-            for (std::size_t i = 0; i < n; ++i) {
-                Event::Packed p;
-                std::memcpy(&p, rec + i * sizeof(p), sizeof(p));
-                new (&buf[i]) Event(Event::unpack(p));
-            }
+            decodeRecords(records, first, n, buf);
             return static_cast<const Event *>(buf);
         });
 }

@@ -7,7 +7,7 @@
  * or more lanes. Lane l owns the observers whose index is l modulo the
  * lane count. For each block, a lane decodes the records once into its
  * own Event buffer and then hands the whole block to each of its
- * observers in turn. Lanes share nothing but the read-only trace, so
+ * observers in turn, in one onEvents() call. Lanes share nothing but the read-only trace, so
  * an observer sees exactly the event sequence a live run would have
  * dispatched to it, at any lane count.
  *
@@ -53,7 +53,8 @@ struct ReplayOptions
      * Profiler phase path per observer (empty or missing: untimed).
      * While the profiler is on, each (observer, block) pair is timed
      * with two clock reads and folded into its phase, with calls
-     * counting the events the observer was handed.
+     * counting the events the observer was offered: the whole block,
+     * also when it throws inside it.
      */
     std::vector<std::string> phases;
 };

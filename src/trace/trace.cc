@@ -5,7 +5,9 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <new>
 #include <set>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "detectors/vclock.hh"
@@ -258,19 +260,30 @@ deserializeTrace(std::string_view bytes, Trace *out, std::string *err,
         return false;
     Trace trace;
     trace.siteNames = std::move(view.siteNames);
-    // Bulk-decode the fixed-width record array: openPackedTrace()
-    // validated the whole stream, so the loop needs no per-event
-    // tests. The variable-length site table means records may sit
-    // unaligned — the per-record memcpy keeps the 64-bit loads
-    // well-defined and compiles to plain unaligned moves.
     trace.events.resize(view.nevents);
-    for (std::uint64_t i = 0; i < view.nevents; ++i) {
-        Event::Packed p;
-        std::memcpy(&p, view.records + i * sizeof(p), sizeof(p));
-        trace.events[i] = Event::unpack(p);
-    }
+    decodeRecords(view.records, 0, view.nevents, trace.events.data());
     *out = std::move(trace);
     return true;
+}
+
+void
+decodeRecords(const char *records, std::size_t first, std::size_t n,
+              Event *out)
+{
+    // openPackedTrace() validated the whole stream, so the loop needs
+    // no per-event tests. Records may sit unaligned after the
+    // variable-length site table; the per-record memcpy keeps the
+    // loads well-defined and compiles to plain unaligned moves. Each
+    // event is built in place: assigning unpack()'s result would build
+    // it in a temporary and copy it, which costs about as much again
+    // as the decode.
+    static_assert(std::is_trivially_destructible_v<Event>);
+    const char *rec = records + first * sizeof(Event::Packed);
+    for (std::size_t i = 0; i < n; ++i) {
+        Event::Packed p;
+        std::memcpy(&p, rec + i * sizeof(p), sizeof(p));
+        new (&out[i]) Event(Event::unpack(p));
+    }
 }
 
 void

@@ -22,6 +22,7 @@
 #ifndef HARD_TRACE_TRACE_HH
 #define HARD_TRACE_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -115,6 +116,14 @@ struct PackedTraceView
 bool openPackedTrace(std::string_view bytes, PackedTraceView *out,
                      std::string *err,
                      std::uint32_t *version_out = nullptr);
+
+/**
+ * The one record decoder: decode the @p n records starting at record
+ * @p first of a validated packed stream (PackedTraceView::records)
+ * into @p out, each event built in place.
+ */
+void decodeRecords(const char *records, std::size_t first, std::size_t n,
+                   Event *out);
 
 /**
  * Decode a serialized trace without terminating on malformed input;

@@ -38,8 +38,9 @@ reportedAt(const ReportSink &sink, SiteId s)
 }
 
 /**
- * Drives one detector's hooks directly with a hand-built event trace:
- * 4-byte accesses, one cycle apart, each thread on its own core.
+ * Drives one detector directly with a hand-built event trace, one
+ * event per onEvents() call: 4-byte accesses, one cycle apart, each
+ * thread on its own core.
  */
 class HandTrace
 {
@@ -49,19 +50,19 @@ class HandTrace
     void
     write(ThreadId tid, Addr addr, SiteId site = 0)
     {
-        det_.onWrite(mem(tid, addr, true, site));
+        feed(mem(tid, addr, true, site));
     }
 
     void
     read(ThreadId tid, Addr addr, SiteId site = 0)
     {
-        det_.onRead(mem(tid, addr, false, site));
+        feed(mem(tid, addr, false, site));
     }
 
-    void lock(ThreadId tid, LockAddr l) { det_.onLockAcquire(sync(tid, l)); }
-    void unlock(ThreadId tid, LockAddr l) { det_.onLockRelease(sync(tid, l)); }
-    void post(ThreadId tid, Addr sema) { det_.onSemaPost(sync(tid, sema)); }
-    void wait(ThreadId tid, Addr sema) { det_.onSemaWait(sync(tid, sema)); }
+    void lock(ThreadId t, LockAddr l) { sync(EventKind::LockAcquire, t, l); }
+    void unlock(ThreadId t, LockAddr l) { sync(EventKind::LockRelease, t, l); }
+    void post(ThreadId t, Addr sema) { sync(EventKind::SemaPost, t, sema); }
+    void wait(ThreadId t, Addr sema) { sync(EventKind::SemaWait, t, sema); }
 
     /** Complete the next episode of one barrier object. */
     void
@@ -73,10 +74,12 @@ class HandTrace
         ev.episode = episode_++;
         ev.at = ++at_;
         ev.participants = participants;
-        det_.onBarrier(ev);
+        feed(ev);
     }
 
   private:
+    void feed(const Event &ev) { det_.onEvents({&ev, 1}); }
+
     Event
     mem(ThreadId tid, Addr addr, bool write, SiteId site)
     {
@@ -91,15 +94,16 @@ class HandTrace
         return ev;
     }
 
-    Event
-    sync(ThreadId tid, Addr obj)
+    void
+    sync(EventKind kind, ThreadId tid, Addr obj)
     {
         Event ev;
+        ev.kind = kind;
         ev.tid = tid;
         ev.core = tid;
         ev.addr = obj;
         ev.at = ++at_;
-        return ev;
+        feed(ev);
     }
 
     RaceDetector &det_;

@@ -44,10 +44,7 @@ inline FuzzBattery
 replayThroughBattery(const Trace &trace, const FuzzConfig &cfg)
 {
     FuzzBattery battery = makeFuzzBattery(cfg);
-    std::vector<AccessObserver *> obs;
-    for (RaceDetector *d : battery.detectors())
-        obs.push_back(d);
-    replayTrace(trace, obs);
+    replayTrace(trace, battery.observers());
     for (RaceDetector *d : battery.detectors())
         d->finalize();
     return battery;

@@ -26,9 +26,10 @@ TEST(CoupledMetadata, EvictionEventsFireOnL2Displacement)
     {
         std::uint64_t n = 0;
         void
-        onEvent(const Event &ev) override
+        onEvents(std::span<const Event> evs) override
         {
-            n += ev.kind == EventKind::LineEvicted;
+            for (const Event &ev : evs)
+                n += ev.kind == EventKind::LineEvicted;
         }
     };
 

@@ -42,8 +42,8 @@ TEST_P(ReplayEquivalence, EveryDetectorMatchesLiveRun)
     TraceRecorder recorder(prog);
     {
         System sys(SimConfig{}, prog);
-        for (RaceDetector *d : live.detectors())
-            sys.addObserver(d);
+        for (AccessObserver *obs : live.observers())
+            sys.addObserver(obs);
         sys.addObserver(&recorder);
         sys.run();
         for (RaceDetector *d : live.detectors())
@@ -95,8 +95,8 @@ TEST_P(ExtendedGrammarReplayEquivalence, EveryDetectorMatchesLiveRun)
     TraceRecorder recorder(prog);
     {
         System sys(fuzzSimConfig(prog), prog);
-        for (RaceDetector *d : live.detectors())
-            sys.addObserver(d);
+        for (AccessObserver *obs : live.observers())
+            sys.addObserver(obs);
         sys.addObserver(&recorder);
         sys.run();
         for (RaceDetector *d : live.detectors())

@@ -186,11 +186,13 @@ class CountingObserver : public AccessObserver
     }
 
     void
-    onEvent(const Event &) override
+    onEvents(std::span<const Event> evs) override
     {
-        if (static_cast<std::int64_t>(seen_) == throwAt_)
-            throw std::runtime_error(what_);
-        ++seen_;
+        for (std::size_t i = 0; i < evs.size(); ++i) {
+            if (static_cast<std::int64_t>(seen_) == throwAt_)
+                throw std::runtime_error(what_);
+            ++seen_;
+        }
     }
 
     std::uint64_t seen() const { return seen_; }
@@ -301,7 +303,7 @@ class ThreadProbe : public AccessObserver
 {
   public:
     void
-    onEvent(const Event &) override
+    onEvents(std::span<const Event>) override
     {
         if (threads_ < 0)
             threads_ = processThreads();

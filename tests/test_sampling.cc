@@ -5,6 +5,8 @@
  *  - granule decisions nest across rates (lowering r only removes
  *    granules), the mechanism that makes sampled overhead monotone;
  *  - epoch duty cycles are deterministic and proportional to r;
+ *  - a block mixing sampled-out accesses with sync events reaches the
+ *    inner observer as the same sequence per-event filtering gives;
  *  - rate 1.0 is byte-identical to an unsampled run, whatever the
  *    other sampling fields say (active() gates every call site);
  *  - sampled sweeps are deterministic at any --jobs;
@@ -18,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,6 +92,71 @@ TEST(SamplingSpec, EpochDutyCycleDeterministicAndProportional)
     }
     // Exactly ceil(r * period) on-cycles per period.
     EXPECT_EQ(on, 300u);
+}
+
+/** Keeps every event handed to it, and how many onEvents() calls. */
+struct EventLog final : AccessObserver
+{
+    std::vector<Event> events;
+    unsigned calls = 0;
+
+    void
+    onEvents(std::span<const Event> evs) override
+    {
+        ++calls;
+        events.insert(events.end(), evs.begin(), evs.end());
+    }
+};
+
+TEST(SamplingObserverBlocks, MixedBlockMatchesPerEventFiltering)
+{
+    SamplingSpec spec;
+    spec.rate = 0.5;
+    spec.seed = 3;
+    // Accesses to 64 granules, a sync event after every third one.
+    std::vector<Event> block;
+    const EventKind sync[] = {EventKind::LockAcquire, EventKind::Barrier,
+                              EventKind::SemaPost, EventKind::RwRdRelease};
+    for (unsigned i = 0; i < 64; ++i) {
+        Event ev;
+        ev.kind = i % 2 ? EventKind::Write : EventKind::Read;
+        ev.tid = i % 4;
+        ev.addr = 0x10000 + i * spec.granuleBytes;
+        ev.size = 4;
+        ev.at = block.size();
+        block.push_back(ev);
+        if (i % 3 == 2) {
+            Event s;
+            s.kind = sync[i % 4];
+            s.tid = i % 4;
+            s.addr = 0x900;
+            s.at = block.size();
+            block.push_back(s);
+        }
+    }
+
+    EventLog whole, single;
+    SamplingObserver whole_tap(whole, spec);
+    SamplingObserver single_tap(single, spec);
+    whole_tap.onEvents(block);
+    for (const Event &ev : block)
+        single_tap.onEvents({&ev, 1});
+
+    std::vector<Event> expect;
+    unsigned dropped = 0;
+    for (const Event &ev : block) {
+        if (!ev.isAccess() || sampleGranule(spec, ev.addr))
+            expect.push_back(ev);
+        else
+            ++dropped;
+    }
+    ASSERT_GT(dropped, 0u);
+    ASSERT_LT(dropped, 64u);
+    EXPECT_EQ(whole.events, expect);
+    EXPECT_EQ(single.events, expect);
+    // One call per maximal run of kept events, never one per event.
+    EXPECT_LE(whole.calls, dropped + 1);
+    EXPECT_LT(whole.calls, expect.size());
 }
 
 WorkloadParams

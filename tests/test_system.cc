@@ -30,21 +30,23 @@ class Recorder : public AccessObserver
     std::vector<Entry> log;
 
     void
-    onEvent(const Event &ev) override
+    onEvents(std::span<const Event> evs) override
     {
-        char kind;
-        switch (ev.kind) {
-          case EventKind::Read: kind = 'r'; break;
-          case EventKind::Write: kind = 'w'; break;
-          case EventKind::LockAcquire: kind = 'L'; break;
-          case EventKind::LockRelease: kind = 'U'; break;
-          case EventKind::Barrier: kind = 'B'; break;
-          case EventKind::SemaPost: kind = 'P'; break;
-          case EventKind::SemaWait: kind = 'S'; break;
-          case EventKind::ThreadEnd: kind = 'E'; break;
-          default: return;
+        for (const Event &ev : evs) {
+            char kind;
+            switch (ev.kind) {
+              case EventKind::Read: kind = 'r'; break;
+              case EventKind::Write: kind = 'w'; break;
+              case EventKind::LockAcquire: kind = 'L'; break;
+              case EventKind::LockRelease: kind = 'U'; break;
+              case EventKind::Barrier: kind = 'B'; break;
+              case EventKind::SemaPost: kind = 'P'; break;
+              case EventKind::SemaWait: kind = 'S'; break;
+              case EventKind::ThreadEnd: kind = 'E'; break;
+              default: continue;
+            }
+            log.push_back({kind, ev.tid, ev.addr, ev.at});
         }
-        log.push_back({kind, ev.tid, ev.addr, ev.at});
     }
 };
 
@@ -343,10 +345,12 @@ class SwitchRecorder : public AccessObserver
     std::vector<Switch> switches;
 
     void
-    onEvent(const Event &ev) override
+    onEvents(std::span<const Event> evs) override
     {
-        if (ev.kind == EventKind::ContextSwitch)
-            switches.push_back({ev.core, ev.switchedOut(), ev.tid, ev.at});
+        for (const Event &ev : evs)
+            if (ev.kind == EventKind::ContextSwitch)
+                switches.push_back(
+                    {ev.core, ev.switchedOut(), ev.tid, ev.at});
     }
 };
 

@@ -367,7 +367,11 @@ struct EventSequence final : AccessObserver
 {
     std::vector<Event> events;
 
-    void onEvent(const Event &ev) override { events.push_back(ev); }
+    void
+    onEvents(std::span<const Event> evs) override
+    {
+        events.insert(events.end(), evs.begin(), evs.end());
+    }
 };
 
 /**

@@ -402,26 +402,28 @@ struct EventLog final : AccessObserver
         lines.push_back(buf);
     }
 
-    void onEvent(const Event &ev) override
+    void onEvents(std::span<const Event> evs) override
     {
-        switch (ev.kind) {
-          case EventKind::Read:
-            add("read", ev.tid, ev.addr, ev.at);
-            break;
-          case EventKind::Write:
-            add("write", ev.tid, ev.addr, ev.at);
-            break;
-          case EventKind::LockAcquire:
-            add("acq", ev.tid, ev.addr, ev.at);
-            break;
-          case EventKind::LockRelease:
-            add("rel", ev.tid, ev.addr, ev.at);
-            break;
-          case EventKind::ThreadEnd:
-            add("end", ev.tid, 0, ev.at);
-            break;
-          default:
-            break;
+        for (const Event &ev : evs) {
+            switch (ev.kind) {
+              case EventKind::Read:
+                add("read", ev.tid, ev.addr, ev.at);
+                break;
+              case EventKind::Write:
+                add("write", ev.tid, ev.addr, ev.at);
+                break;
+              case EventKind::LockAcquire:
+                add("acq", ev.tid, ev.addr, ev.at);
+                break;
+              case EventKind::LockRelease:
+                add("rel", ev.tid, ev.addr, ev.at);
+                break;
+              case EventKind::ThreadEnd:
+                add("end", ev.tid, 0, ev.at);
+                break;
+              default:
+                break;
+            }
         }
     }
 };
